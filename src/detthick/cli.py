@@ -4,16 +4,16 @@ Every command resolves its request fully (normalized generators, explicit
 window), computes, and renders either text, JSON or LaTeX.  JSON is the
 source of truth: the text and LaTeX views are derived from the same result
 dictionary, and the emitted JSON embeds the resolved request so the exact
-invocation can be replayed.
+invocation can be replayed.  Each command is one entry of ``_COMMANDS``,
+which holds its flags, its computation and its two renderers.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .ext import ext_graded, ext_map_parts
 from .ideals import (
@@ -26,12 +26,7 @@ from .ideals import (
 )
 from .kodaira import kodaira_check, sing_codim
 from .partitions import Partition
-from .regularity import (
-    NEG_INF,
-    has_linear_resolution,
-    reg_power_details,
-    reg_quotient,
-)
+from .regularity import KINDS, NEG_INF, reg_power_details, reg_quotient
 from .schur import graded_table_to_json, quotient_graded_dim
 from .zset import zset_general, zset_power
 
@@ -46,17 +41,16 @@ class IdealSpecSyntaxError(ValueError):
         self.pos = pos
 
 
-class ParsedIdeal:
+class ParsedIdeal(NamedTuple):
     """An ideal together with how it was named on the command line."""
 
-    def __init__(self, ideal: IdealSpec, kind: str, p: Optional[int], d: Optional[int]):
-        self.ideal = ideal
-        self.kind = kind
-        self.p = p
-        self.d = d
+    ideal: IdealSpec
+    kind: str
+    p: Optional[int]
+    d: Optional[int]
 
 
-def _int_at(text: str, token: str, pos: int, what: str) -> int:
+def _int_at(token: str, pos: int, what: str) -> int:
     try:
         return int(token)
     except ValueError:
@@ -78,8 +72,8 @@ def parse_ideal_spec(text: str, n: int) -> ParsedIdeal:
         tokens = rest.split(":")
         if len(tokens) != 2:
             raise IdealSpecSyntaxError(f"{head} needs p:d", base)
-        p = _int_at(text, tokens[0], base, "p")
-        d = _int_at(text, tokens[1], base + len(tokens[0]) + 1, "d")
+        p = _int_at(tokens[0], base, "p")
+        d = _int_at(tokens[1], base + len(tokens[0]) + 1, "d")
         if not 1 <= p <= n:
             raise IdealSpecSyntaxError(f"need 1 <= p <= n={n}, got p={p}", base)
         if d < 1:
@@ -90,7 +84,7 @@ def parse_ideal_spec(text: str, n: int) -> ParsedIdeal:
             return ParsedIdeal(symbolic_gens(p, d, n), head, p, d)
         return ParsedIdeal(saturate(power_gens(p, d, n), 1), head, p, d)
     if head == "minors":
-        p = _int_at(text, rest, base, "p")
+        p = _int_at(rest, base, "p")
         if not 1 <= p <= n:
             raise IdealSpecSyntaxError(f"need 1 <= p <= n={n}, got p={p}", base)
         return ParsedIdeal(IdealSpec(n, frozenset([Partition([1] * p)])), head, p, 1)
@@ -107,19 +101,11 @@ def parse_ideal_spec(text: str, n: int) -> ParsedIdeal:
     raise IdealSpecSyntaxError(f"unknown ideal kind {head!r}", 0)
 
 
-def _gens_text(X: IdealSpec) -> str:
-    return "gens:" + ";".join(str(g) for g in X.sorted_gens())
-
-
 def _reg_json(v) -> Optional[int]:
     return None if v == NEG_INF else int(v)
 
 
 # ---------------------------------------------------------------- rendering
-
-
-def _render_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _fmt_partition(parts: Sequence[int]) -> str:
@@ -137,16 +123,6 @@ def _latex_table(header: list[str], rows: list[list[str]]) -> str:
         lines.append(" & ".join(row) + " \\\\")
     lines.append("\\end{tabular}")
     return "\n".join(lines) + "\n"
-
-
-def _render(doc: dict, fmt: str) -> str:
-    if fmt == "json":
-        return _render_json(doc)
-    cmd = doc["command"]
-    req, res = doc["request"], doc["result"]
-    if fmt == "latex":
-        return _RENDER_LATEX[cmd](req, res)
-    return _RENDER_TEXT[cmd](req, res)
 
 
 def _text_zset(req, res) -> str:
@@ -314,31 +290,6 @@ def _latex_bblsz(req, res) -> str:
     return _latex_table(["$d$", "$z$ by size"], rows)
 
 
-_RENDER_TEXT = {
-    "zset": _text_zset,
-    "ext": _text_ext,
-    "ext-map": _text_ext_map,
-    "reg": _text_reg,
-    "reg-powers": _text_reg_powers,
-    "hilbert": _text_hilbert,
-    "kodaira": _text_kodaira,
-    "linear-res": _text_linear_res,
-    "bblsz-table": _text_bblsz,
-}
-
-_RENDER_LATEX = {
-    "zset": _latex_zset,
-    "ext": _latex_ext,
-    "ext-map": _latex_ext_map,
-    "reg": _latex_reg,
-    "reg-powers": _latex_reg_powers,
-    "hilbert": _latex_hilbert,
-    "kodaira": _latex_kodaira,
-    "linear-res": _latex_linear_res,
-    "bblsz-table": _latex_bblsz,
-}
-
-
 # ---------------------------------------------------------------- macaulay2
 
 
@@ -364,15 +315,12 @@ def emit_m2(parsed: ParsedIdeal, m: int, n: int, what: str, path: str, **kw) -> 
     ]
     if parsed.kind == "minors":
         lines.append("J = I;")
-    elif parsed.kind == "power":
-        lines.append(f"J = I^{d};")
     elif parsed.kind == "satpower":
         lines.append(f"J = saturate(I^{d});")
+    elif parsed.kind == "power" or p == 1:  # symbolic powers of the maximal ideal are powers
+        lines.append(f"J = I^{d};")
     else:
-        if p == 1:
-            lines.append(f"J = I^{d};")
-        else:
-            lines.append(f"J = saturate(I^{d}, minors({p - 1}, M));")
+        lines.append(f"J = saturate(I^{d}, minors({p - 1}, M));")
     if what == "reg":
         lines += [
             "r = regularity(R^1/J);",
@@ -393,11 +341,11 @@ def emit_m2(parsed: ParsedIdeal, m: int, n: int, what: str, path: str, **kw) -> 
 
 
 def _window_from_args(args) -> Optional[tuple[int, int]]:
-    if getattr(args, "deg", None) is not None and getattr(args, "window", None) is not None:
+    if args.deg is not None and args.window is not None:
         raise ValueError("give either --deg or --window, not both")
-    if getattr(args, "deg", None) is not None:
+    if args.deg is not None:
         return (args.deg, args.deg)
-    if getattr(args, "window", None) is not None:
+    if args.window is not None:
         lo, hi = args.window
         if lo > hi:
             raise ValueError(f"empty degree window [{lo}, {hi}]")
@@ -445,7 +393,7 @@ def _cmd_ext(args) -> dict:
 
 def _cmd_ext_map(args) -> dict:
     sub = parse_ideal_spec(args.sub, args.n)
-    sup = parse_ideal_spec(getattr(args, "super"), args.n)
+    sup = parse_ideal_spec(args.super, args.n)
     window = _window_from_args(args)
     res = ext_map_parts(sub.ideal, sup.ideal, args.cohdeg, args.m, args.n, window)
     parts = {}
@@ -574,16 +522,62 @@ def _cmd_bblsz(args) -> dict:
     }
 
 
+# ---------------------------------------------------------------- command table
+
+
+def _flag(*names: str, **kw) -> tuple[tuple[str, ...], dict]:
+    """The arguments of one ``add_argument`` call."""
+    return names, kw
+
+
+_M = _flag("--m", type=int, help="matrix rows (default: n)")
+_N = _flag("--n", type=int, required=True, help="matrix columns")
+_JSON = _flag("--json", action="store_true", help="emit JSON")
+_LATEX = _flag("--latex", action="store_true", help="emit a LaTeX table")
+_IDEAL = _flag("--ideal", required=True)
+_COHDEG = _flag("--cohdeg", type=int, required=True)
+_DEG = _flag("--deg", type=int, help="single internal degree")
+_WINDOW = _flag("--window", type=int, nargs=2, metavar=("LO", "HI"))
+_EMIT_M2 = _flag("--emit-m2", metavar="PATH")
+_P = _flag("--p", type=int, required=True)
+_DMAX = _flag("--dmax", type=int, required=True)
+
+
+class _Command(NamedTuple):
+    help: str
+    takes_mn: bool  # --m/--n, validated before compute runs
+    flags: tuple[tuple[tuple[str, ...], dict], ...]
+    compute: Callable[[argparse.Namespace], dict]  # returns "request" and "result"
+    text: Callable[[dict, dict], str]
+    latex: Callable[[dict, dict], str]
+
+
 _COMMANDS = {
-    "zset": _cmd_zset,
-    "ext": _cmd_ext,
-    "ext-map": _cmd_ext_map,
-    "reg": _cmd_reg,
-    "reg-powers": _cmd_reg_powers,
-    "hilbert": _cmd_hilbert,
-    "kodaira": _cmd_kodaira,
-    "linear-res": _cmd_linear_res,
-    "bblsz-table": _cmd_bblsz,
+    "zset": _Command("factor labels of the quotient", True, (_IDEAL,),
+                     _cmd_zset, _text_zset, _latex_zset),
+    "ext": _Command("one Ext module in a degree window", True,
+                    (_IDEAL, _COHDEG, _DEG, _WINDOW, _EMIT_M2),
+                    _cmd_ext, _text_ext, _latex_ext),
+    "ext-map": _Command("kernel/image/cokernel of an induced Ext map", True,
+                        (_flag("--sub", required=True, help="the smaller ideal"),
+                         _flag("--super", required=True, help="the bigger ideal"),
+                         _COHDEG, _DEG, _WINDOW),
+                        _cmd_ext_map, _text_ext_map, _latex_ext_map),
+    "reg": _Command("regularity of the quotient and the ideal", True, (_IDEAL, _EMIT_M2),
+                    _cmd_reg, _text_reg, _latex_reg),
+    "reg-powers": _Command("regularity along a power family", True,
+                           (_P, _DMAX, _flag("--kind", choices=KINDS, default="power")),
+                           _cmd_reg_powers, _text_reg_powers, _latex_reg_powers),
+    "hilbert": _Command("graded dimensions of the quotient", True,
+                        (_IDEAL, _flag("--rmax", type=int, required=True)),
+                        _cmd_hilbert, _text_hilbert, _latex_hilbert),
+    "kodaira": _Command("vanishing scan in the smooth range", True,
+                        (_IDEAL, _flag("--jmax", type=int, default=15)),
+                        _cmd_kodaira, _text_kodaira, _latex_kodaira),
+    "linear-res": _Command("linear resolution scan for powers of minors", True, (_P, _DMAX),
+                           _cmd_linear_res, _text_linear_res, _latex_linear_res),
+    "bblsz-table": _Command("level-0 labels of powers of 2x2 minors, m=n=3", False, (_DMAX,),
+                            _cmd_bblsz, _text_bblsz, _latex_bblsz),
 }
 
 
@@ -594,98 +588,32 @@ def build_parser() -> argparse.ArgumentParser:
         "invariant determinantal thickenings.",
     )
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(sp, m_default_n=False):
-        sp.add_argument("--m", type=int, default=None, help="matrix rows (default: n)")
-        sp.add_argument("--n", type=int, required=True, help="matrix columns")
-        _output_flags(sp)
-
-    def _output_flags(sp):
-        sp.add_argument("--json", action="store_true", help="emit JSON")
-        sp.add_argument("--latex", action="store_true", help="emit a LaTeX table")
-
-    sp = sub.add_parser("zset", help="factor labels of the quotient")
-    common(sp)
-    sp.add_argument("--ideal", required=True)
-
-    sp = sub.add_parser("ext", help="one Ext module in a degree window")
-    common(sp)
-    sp.add_argument("--ideal", required=True)
-    sp.add_argument("--cohdeg", type=int, required=True)
-    sp.add_argument("--deg", type=int, default=None, help="single internal degree")
-    sp.add_argument("--window", type=int, nargs=2, default=None, metavar=("LO", "HI"))
-    sp.add_argument("--emit-m2", default=None, metavar="PATH")
-
-    sp = sub.add_parser("ext-map", help="kernel/image/cokernel of an induced Ext map")
-    common(sp)
-    sp.add_argument("--sub", required=True, help="the smaller ideal")
-    sp.add_argument("--super", required=True, help="the bigger ideal")
-    sp.add_argument("--cohdeg", type=int, required=True)
-    sp.add_argument("--deg", type=int, default=None)
-    sp.add_argument("--window", type=int, nargs=2, default=None, metavar=("LO", "HI"))
-
-    sp = sub.add_parser("reg", help="regularity of the quotient and the ideal")
-    common(sp)
-    sp.add_argument("--ideal", required=True)
-    sp.add_argument("--emit-m2", default=None, metavar="PATH")
-
-    sp = sub.add_parser("reg-powers", help="regularity along a power family")
-    common(sp)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--dmax", type=int, required=True)
-    sp.add_argument("--kind", choices=("power", "satpower", "symbolic"), default="power")
-
-    sp = sub.add_parser("hilbert", help="graded dimensions of the quotient")
-    common(sp)
-    sp.add_argument("--ideal", required=True)
-    sp.add_argument("--rmax", type=int, required=True)
-
-    sp = sub.add_parser("kodaira", help="vanishing scan in the smooth range")
-    common(sp)
-    sp.add_argument("--ideal", required=True)
-    sp.add_argument("--jmax", type=int, default=15)
-
-    sp = sub.add_parser("linear-res", help="linear resolution scan for powers of minors")
-    common(sp)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--dmax", type=int, required=True)
-
-    sp = sub.add_parser("bblsz-table", help="level-0 labels of powers of 2x2 minors, m=n=3")
-    sp.add_argument("--dmax", type=int, required=True)
-    _output_flags(sp)
+    for name, cmd in _COMMANDS.items():
+        sp = sub.add_parser(name, help=cmd.help)
+        mn = (_M, _N) if cmd.takes_mn else ()
+        for names, kw in (*mn, *cmd.flags, _JSON, _LATEX):
+            sp.add_argument(*names, **kw)
     return top
-
-
-def _threads_cap() -> int:
-    raw = os.environ.get("DETTHICK_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"DETTHICK_THREADS must be an integer >= 1, got {raw!r}") from None
-    if cap < 1:
-        raise ValueError(f"DETTHICK_THREADS must be an integer >= 1, got {raw!r}")
-    return cap
 
 
 def run(argv: Sequence[str]) -> str:
     """Parse argv, compute, and return the rendered output."""
     args = build_parser().parse_args(argv)
-    _threads_cap()  # the engine is serial, which respects any cap
-    if args.command != "bblsz-table":
+    cmd = _COMMANDS[args.command]
+    if cmd.takes_mn:
         if args.m is None:
             args.m = args.n
         if args.n < 1:
             raise ValueError(f"need n >= 1, got n={args.n}")
         if args.m < args.n:
             raise ValueError(f"need m >= n, got m={args.m}, n={args.n}")
-    doc = {"schema": SCHEMA, "command": args.command}
-    doc.update(_COMMANDS[args.command](args))
     if args.json and args.latex:
         raise ValueError("give at most one of --json and --latex")
-    fmt = "json" if args.json else ("latex" if args.latex else "text")
-    return _render(doc, fmt)
+    doc = {"schema": SCHEMA, "command": args.command, **cmd.compute(args)}
+    if args.json:
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    render = cmd.latex if args.latex else cmd.text
+    return render(doc["request"], doc["result"])
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -95,11 +95,6 @@ def index_tuples(z: Partition, l: int, m: int, n: int) -> list[IndexTuple]:
     return out
 
 
-def _zpart(z: Partition, i: int) -> int:
-    # z_i with the reading z_0 := z_1 (only row 0 is ever asked for)
-    return z.part(max(i, 1))
-
-
 def minimal_weight(
     z: Partition, l: int, t: Sequence[int], s: int, m: int, n: int
 ) -> Optional[Weight]:
@@ -125,7 +120,8 @@ def minimal_weight(
     for i in range(1, k):
         if t[i] - t[i - 1] > z.part(n - i) - z.part(n + 1 - i):
             return None
-    if l - t[-1] > _zpart(z, l) - z.part(l + 1):
+    # here and below, z_l with l = 0 reads as z_1
+    if l - t[-1] > z.part(max(l, 1)) - z.part(l + 1):
         return None
 
     lam = [0] * n
@@ -135,9 +131,10 @@ def minimal_weight(
         lo, hi = t[i - 1] + i, t[i] + i + 1
         lam[lo:hi] = [t[i] - z.part(n - i) - m] * (hi - lo)
     tail_start = t[-1] + k
-    lam[tail_start:n] = [l - _zpart(z, l) - m] * (n - tail_start)
+    lam[tail_start:n] = [l - z.part(max(l, 1)) - m] * (n - tail_start)
     w = tuple(lam)
-    assert all(w[i] >= w[i + 1] for i in range(n - 1)), (z, l, t, s, w)
+    if any(w[i] < w[i + 1] for i in range(n - 1)):
+        raise RuntimeError(f"minimal weight {w} for {z}, l={l}, t={t}, s={s} is not dominant")
     return w
 
 
@@ -173,7 +170,7 @@ def enumerate_weights(
     if any(t[i] > t[i + 1] for i in range(k - 1)) or (k and t[-1] > l):
         return []
 
-    floor = l - _zpart(z, l) - m
+    floor = l - z.part(max(l, 1)) - m  # z_0 reads as z_1
     fixed: dict[int, int] = {}
     for i in range(1, k + 1):
         pos = t[i - 1] + i - 1  # 0-based
@@ -234,13 +231,6 @@ def enumerate_weights(
     return out
 
 
-def _component_degree_floor(
-    pair: ZPair, tup: IndexTuple, m: int, n: int
-) -> Optional[int]:
-    w = minimal_weight(pair.z, pair.l, tup.t, tup.s, m, n)
-    return None if w is None else sum(w)
-
-
 def default_window(
     pairs: Sequence[ZPair], j: int, m: int, n: int, width: int = 10
 ) -> Optional[tuple[int, int]]:
@@ -250,9 +240,9 @@ def default_window(
         for tup in index_tuples(pair.z, pair.l, m, n):
             if tup.j != j:
                 continue
-            f = _component_degree_floor(pair, tup, m, n)
-            if f is not None:
-                floors.append(f)
+            w = minimal_weight(pair.z, pair.l, tup.t, tup.s, m, n)
+            if w is not None:
+                floors.append(sum(w))
     if not floors:
         return None
     lo = min(floors)
@@ -274,8 +264,8 @@ def _components_for_pairs(
             if tup.j != j:
                 continue
             for lam in enumerate_weights(z, l, tup.t, tup.s, m, n, lo, hi):
-                if z.part(l + 1) == _zpart(z, l):
-                    assert lam[n - 1] == l - _zpart(z, l) - m, (pair, tup, lam)
+                if z.part(l + 1) == z.part(max(l, 1)):  # z_0 reads as z_1
+                    assert lam[n - 1] == l - z.part(max(l, 1)) - m, (pair, tup, lam)
                 lam_exp = weight_expand(lam, tup.s, m, n)
                 dim = schur_dim(lam_exp, m) * schur_dim(lam, n)
                 comps.append(

@@ -23,11 +23,6 @@ RegValue = Union[int, float]
 KINDS = ("power", "satpower", "symbolic")
 
 
-def _zpart(z: Partition, i: int) -> int:
-    # z_i with the reading z_0 := z_1
-    return z.part(max(i, 1))
-
-
 def _check_zl(z: Partition, l: int, n: int) -> None:
     if z.nparts > n:
         raise ValueError(f"{z} has more than {n} parts")
@@ -51,7 +46,7 @@ def reg_tuples(z: Partition, l: int, n: int) -> list[tuple[int, ...]]:
         if i == 0:
             out.append(tuple(acc))
             return
-        zdiff = _zpart(z, n - i) - z.part(n + 1 - i)
+        zdiff = z.part(max(n - i, 1)) - z.part(n + 1 - i)  # z_0 reads as z_1
         for delta in range(zdiff + 1):
             ti = nxt - delta
             if ti < 0:
@@ -71,7 +66,7 @@ def f_value(z: Partition, l: int, t: tuple[int, ...]) -> int:
         raise ValueError(f"chain {t} must end at l={l}")
     total = 0
     for i in range(1, n - l + 1):
-        zdiff = _zpart(z, n - i) - z.part(n + 1 - i)
+        zdiff = z.part(max(n - i, 1)) - z.part(n + 1 - i)  # z_0 reads as z_1
         total += t[i - 1] * (zdiff - t[i] + t[i - 1])
     return total
 
@@ -166,8 +161,8 @@ def reg_power_details(
 
     Levels are 0..p-1 for powers, 1..p-1 for saturated powers and p-1 alone
     for symbolic powers; the ideal regularity is one more than the best
-    level.  Brute force always runs; the closed form is asserted wherever
-    it is proven.
+    level.  Brute force always runs; the closed form is checked against it
+    wherever it is proven.
     """
     if not 1 <= p <= n <= m:
         raise ValueError(f"need 1 <= p <= n <= m, got p={p}, n={n}, m={m}")
@@ -187,7 +182,10 @@ def reg_power_details(
         val = r_bruteforce(l, p, n, d)
         if closed_form_valid(l, p, n, d):
             closed = r_closed(l, p, n, d)
-            assert val == closed, (l, p, n, d, val, closed)
+            if val != closed:
+                raise RuntimeError(
+                    f"brute force gives {val}, closed form {closed} at l={l}, p={p}, n={n}, d={d}"
+                )
         per_level[l] = val
     best = max(per_level.values())
     return best + 1, per_level

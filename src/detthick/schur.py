@@ -46,7 +46,8 @@ def schur_dim(lam: WeightLike, k: int) -> int:
         for j in range(i + 1, k):
             num *= w[i] - w[j] + j - i
             den *= j - i
-    assert num % den == 0, (lam, k)
+    if num % den:
+        raise RuntimeError(f"Weyl product for {lam} over GL_{k} is not an integer")
     return num // den
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .ideals import IdealSpec
+from .ideals import IdealSpec, _check_pdn
 from .partitions import Partition, enumerate_partitions, leq
 
 
@@ -96,7 +96,7 @@ def zset_power(p: int, d: int, n: int) -> ZSet:
     Pairs (z, l) with 0 <= l <= p-1, z_1 = ... = z_{l+1} <= d-1 and
     |z| + (d - z_1) l + 1 <= p d <= |z| + (d - z_1)(l + 1).
     """
-    _check_zpdn(p, d, n)
+    _check_pdn(p, d, n)
     found = []
     for l in range(p):
         for c0 in range(d):
@@ -114,7 +114,7 @@ def zset_symbolic(p: int, d: int, n: int) -> ZSet:
 
     Pairs (z, p-1) with z_1 = ... = z_p and z_p + ... + z_n <= d - 1.
     """
-    _check_zpdn(p, d, n)
+    _check_pdn(p, d, n)
     found = []
     for c0 in range(d):
         for tail in enumerate_partitions(n - p, c0):
@@ -122,10 +122,3 @@ def zset_symbolic(p: int, d: int, n: int) -> ZSet:
                 z = Partition((c0,) * p + tail.parts)
                 found.append(_check_pair(ZPair(z, p - 1), n))
     return ZSet(n, frozenset(found))
-
-
-def _check_zpdn(p: int, d: int, n: int) -> None:
-    if not 1 <= p <= n:
-        raise ValueError(f"need 1 <= p <= n, got p={p}, n={n}")
-    if d < 1:
-        raise ValueError(f"need d >= 1, got d={d}")

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 
@@ -173,12 +172,12 @@ def test_main_exit_codes(capsys):
     assert err.startswith("error:")
 
 
-def test_threads_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("DETTHICK_THREADS", "not-a-number")
-    assert main(["reg", "--n", "3", "--ideal", "power:2:2"]) == 1
-    capsys.readouterr()
-    monkeypatch.setenv("DETTHICK_THREADS", "2")
-    assert main(["reg", "--n", "3", "--ideal", "power:2:2"]) == 0
+def test_json_latex_conflict_rejected_before_computing(tmp_path):
+    path = tmp_path / "check.m2"
+    with pytest.raises(ValueError, match="at most one of --json and --latex"):
+        run(["reg", "--n", "3", "--ideal", "power:2:2", "--emit-m2", str(path),
+             "--json", "--latex"])
+    assert not path.exists()
 
 
 def test_console_script_installed():

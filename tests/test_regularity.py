@@ -1,5 +1,6 @@
 import pytest
 
+from detthick import regularity
 from detthick.ext import index_tuples, minimal_weight
 from detthick.ideals import IdealSpec, normalize, power_gens, saturate, symbolic_gens
 from detthick.partitions import Partition, enumerate_partitions
@@ -182,3 +183,10 @@ def test_linear_resolution_trichotomy():
             for d in range(1, 9):
                 expect = p == 1 or p == n or (p == 2 and d >= n - 1)
                 assert has_linear_resolution(p, d, n) == expect, (p, d, n)
+
+
+def test_closed_form_mismatch_raises(monkeypatch):
+    assert closed_form_valid(0, 2, 3, 7)
+    monkeypatch.setattr(regularity, "r_closed", lambda l, p, n, d: -1)
+    with pytest.raises(RuntimeError, match="closed form"):
+        reg_power_details(2, 7, 3, 3, "power")
