@@ -11,6 +11,7 @@ which holds its flags, its computation and its two renderers.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -596,9 +597,15 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first run, not at import, and shared by later runs
+    return build_parser()
+
+
 def run(argv: Sequence[str]) -> str:
     """Parse argv, compute, and return the rendered output."""
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     cmd = _COMMANDS[args.command]
     if cmd.takes_mn:
         if args.m is None:

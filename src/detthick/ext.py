@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 from .ideals import IdealSpec, subideal
 from .partitions import Partition
@@ -231,18 +233,32 @@ def enumerate_weights(
     return out
 
 
+_CHAIN_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=_CHAIN_CACHE_SIZE)
+def _chains_by_j(
+    pair: ZPair, m: int, n: int
+) -> Mapping[int, tuple[tuple[IndexTuple, Optional[Weight]], ...]]:
+    # every chain of one label with its minimal weight, grouped by j in the
+    # order of index_tuples; memoised per (label, m, n) in a bounded LRU cache
+    table: dict[int, list[tuple[IndexTuple, Optional[Weight]]]] = {}
+    for tup in index_tuples(pair.z, pair.l, m, n):
+        w = minimal_weight(pair.z, pair.l, tup.t, tup.s, m, n)
+        table.setdefault(tup.j, []).append((tup, w))
+    return MappingProxyType({j: tuple(chains) for j, chains in table.items()})
+
+
 def default_window(
     pairs: Sequence[ZPair], j: int, m: int, n: int, width: int = 10
 ) -> Optional[tuple[int, int]]:
     """[lo, lo + width] with lo the least total of any feasible minimal weight at j."""
-    floors = []
-    for pair in pairs:
-        for tup in index_tuples(pair.z, pair.l, m, n):
-            if tup.j != j:
-                continue
-            w = minimal_weight(pair.z, pair.l, tup.t, tup.s, m, n)
-            if w is not None:
-                floors.append(sum(w))
+    floors = [
+        sum(w)
+        for pair in pairs
+        for _, w in _chains_by_j(pair, m, n).get(j, ())
+        if w is not None
+    ]
     if not floors:
         return None
     lo = min(floors)
@@ -260,12 +276,11 @@ def _components_for_pairs(
     comps = []
     for pair in pairs:
         z, l = pair.z, pair.l
-        for tup in index_tuples(z, l, m, n):
-            if tup.j != j:
-                continue
+        zl = z.part(max(l, 1))  # z_0 reads as z_1
+        for tup, _ in _chains_by_j(pair, m, n).get(j, ()):
             for lam in enumerate_weights(z, l, tup.t, tup.s, m, n, lo, hi):
-                if z.part(l + 1) == z.part(max(l, 1)):  # z_0 reads as z_1
-                    assert lam[n - 1] == l - z.part(max(l, 1)) - m, (pair, tup, lam)
+                if z.part(l + 1) == zl and lam[n - 1] != l - zl - m:
+                    raise RuntimeError(f"weight {lam} of {pair}, {tup} should end in {l - zl - m}")
                 lam_exp = weight_expand(lam, tup.s, m, n)
                 dim = schur_dim(lam_exp, m) * schur_dim(lam, n)
                 comps.append(

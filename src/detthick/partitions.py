@@ -166,5 +166,6 @@ def enumerate_partitions(
     out: list[Partition] = []
     for r in range(rows * cols + 1):
         out.extend(Partition(t) for t in _desc_lex(r, cols, rows))
-    assert len(out) == comb(rows + cols, rows)
+    if len(out) != comb(rows + cols, rows):
+        raise RuntimeError(f"found {len(out)} partitions in the {rows}x{cols} box")
     return out

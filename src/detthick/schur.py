@@ -68,7 +68,8 @@ def weight_expand(lam: WeightLike, s: int, m: int, n: int) -> Weight:
     if s <= n - 1 and w[s] > s - m:
         raise ValueError(f"entry {s + 1} of {w} is above {s - m}; expansion not dominant")
     out = w[:s] + (s - n,) * (m - n) + tuple(e + (m - n) for e in w[s:])
-    assert sum(out) == sum(w), (lam, s, m, n)
+    if sum(out) != sum(w):
+        raise RuntimeError(f"expanding {w} at s={s} to GL_{m} changed its total")
     return out
 
 

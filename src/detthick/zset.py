@@ -11,10 +11,11 @@ other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from functools import lru_cache
+from itertools import combinations_with_replacement
 
 from .ideals import IdealSpec, _check_pdn
-from .partitions import Partition, enumerate_partitions, leq
+from .partitions import Partition, enumerate_partitions
 
 
 @dataclass(frozen=True)
@@ -50,11 +51,15 @@ class ZSet:
 
 def _check_pair(pair: ZPair, n: int) -> ZPair:
     z, l = pair.z, pair.l
-    assert 0 <= l <= n - 1, (pair, n)
-    assert all(z.part(i) == z.part(1) for i in range(2, l + 2)), (pair, n)
+    if not 0 <= l <= n - 1 or any(z.part(i) != z.part(1) for i in range(2, l + 2)):
+        raise RuntimeError(f"label {pair} breaks 0 <= l < {n} or z_1 = ... = z_(l+1)")
     return pair
 
 
+_LABEL_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=_LABEL_CACHE_SIZE)
 def zset_general(X: IdealSpec) -> ZSet:
     """Factor labels of S/I_X for a proper nonzero invariant ideal.
 
@@ -62,32 +67,38 @@ def zset_general(X: IdealSpec) -> ZSet:
     generators whose c-column truncation sits inside z either all stick
     out past column c at a common minimal height l+1 (then (z, l) is a
     label) or the candidate is discarded.
+
+    Results are memoised per ideal in a bounded LRU cache;
+    ``zset_general.cache_clear()`` empties it.
     """
     if X.is_zero or X.is_unit:
         raise ValueError("factor labels need a proper nonzero ideal")
     n = X.n
-    gens = list(X.gens)
-    cmax = max(g.part(1) for g in gens)
+    gens = [g.parts + (0,) * (n - g.nparts) for g in X.gens]
+    none = n + 1  # no wider generator below z
     found = []
-    for c in range(cmax):
-        for z in _width_candidates(n, c):
-            inside = [g for g in gens if leq(g.truncate(c), z)]
-            if not inside:
-                continue
-            if any(g.part(1) <= c for g in inside):
-                continue
-            l = min(g.conjugate().part(c + 1) for g in inside) - 1
-            found.append(_check_pair(ZPair(z, l), n))
+    for c in range(max(g[0] for g in gens)):
+        # Keys are rows n, ..., 2 of a partition with first part c, bottom
+        # row first, so that combinations_with_replacement lists every key
+        # after the keys one box smaller.  A truncation t lies below such a
+        # z iff its key does, so a walk in that order carries to each z the
+        # least value of the truncations below it: 0 for a generator of
+        # width <= c (z is in I_X), else the height of column c+1.
+        least: dict[tuple[int, ...], int] = {}
+        for g in gens:
+            key = tuple(min(p, c) for p in reversed(g[1:]))
+            h = 0 if g[0] <= c else sum(1 for p in g if p > c)
+            least[key] = min(h, least.get(key, h))
+        for key in combinations_with_replacement(range(c + 1), n - 1):
+            h = least.get(key, none)
+            for i, p in enumerate(key):
+                if p > (key[i - 1] if i else 0):
+                    h = min(h, least[key[:i] + (p - 1,) + key[i + 1 :]])
+            least[key] = h
+            if 0 < h < none:
+                z = Partition((c,) + key[::-1])
+                found.append(_check_pair(ZPair(z, h - 1), n))
     return ZSet(n, frozenset(found))
-
-
-def _width_candidates(n: int, c: int) -> Iterator[Partition]:
-    # partitions in the n x c box with first part exactly c
-    if c == 0:
-        yield Partition()
-        return
-    for tail in enumerate_partitions(n - 1, c):
-        yield Partition((c,) + tail.parts)
 
 
 def zset_power(p: int, d: int, n: int) -> ZSet:

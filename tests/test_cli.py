@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from detthick import cli
 from detthick.cli import IdealSpecSyntaxError, main, parse_ideal_spec, run
 from detthick.ideals import power_gens, saturate, symbolic_gens
 from detthick.partitions import Partition
@@ -194,3 +195,13 @@ def test_console_script_installed():
 def test_m_defaults_to_n():
     doc = run_json(["ext", "--n", "3", "--ideal", "power:2:7", "--cohdeg", "9"])
     assert doc["request"]["m"] == 3
+
+
+def test_run_builds_the_parser_once(monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    first = run(["bblsz-table", "--dmax", "2", "--json"])
+    assert run(["bblsz-table", "--dmax", "2", "--json"]) == first
+    assert len(built) == 1

@@ -11,6 +11,7 @@ from math import comb
 
 import pytest
 
+from detthick import ext
 from detthick.ext import (
     default_window,
     enumerate_weights,
@@ -20,6 +21,7 @@ from detthick.ext import (
     minimal_weight,
 )
 from detthick.ideals import normalize, power_gens, saturate, symbolic_gens
+from detthick.kodaira import kodaira_check
 from detthick.partitions import Partition
 from detthick.schur import ring_graded_dim, schur_dim
 from detthick.zset import ZPair, zset_general, zset_power
@@ -219,3 +221,26 @@ def test_ext_json_dims_are_strings():
     res = ext_graded(power_gens(2, 7, 3), 9, 3, 3, window=(-22, -22))
     doc = res.components[0].to_json()
     assert isinstance(doc["dim"], str)
+
+
+def test_results_do_not_depend_on_warm_caches():
+    # every call once with the label and chain caches emptied before it, then
+    # twice with them warm
+    sub, sup = symbolic_gens(2, 3, 3), power_gens(2, 2, 3)
+    m, n = 4, 3
+
+    def sweep(clear):
+        calls = [lambda j=j: ext_graded(sub, j, m, n) for j in range(m * n + 1)]
+        calls += [lambda j=j: ext_map_parts(sub, sup, j, m, n) for j in range(m * n + 1)]
+        calls.append(lambda: kodaira_check(sub, m, n))
+        out = []
+        for call in calls:
+            if clear:
+                zset_general.cache_clear()
+                ext._chains_by_j.cache_clear()
+            out.append(call())
+        return out
+
+    cold = sweep(True)
+    assert any(r.components for r in cold[: m * n + 1])
+    assert sweep(False) == sweep(False) == cold

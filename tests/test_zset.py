@@ -8,6 +8,7 @@ symbolic powers must agree with the general algorithm.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from detthick.ideals import (
     IdealSpec,
@@ -16,8 +17,53 @@ from detthick.ideals import (
     saturate,
     symbolic_gens,
 )
-from detthick.partitions import Partition
-from detthick.zset import ZPair, zset_general, zset_power, zset_symbolic
+from detthick.partitions import Partition, enumerate_partitions, leq
+from detthick.zset import ZPair, ZSet, _check_pair, zset_general, zset_power, zset_symbolic
+
+
+def zset_reference(X):
+    """The label algorithm as first written: every candidate z against every
+    generator truncated anew.  The reference the engine must reproduce."""
+    if X.is_zero or X.is_unit:
+        raise ValueError("factor labels need a proper nonzero ideal")
+    n = X.n
+    gens = list(X.gens)
+    cmax = max(g.part(1) for g in gens)
+    found = []
+    for c in range(cmax):
+        for z in _width_candidates(n, c):
+            inside = [g for g in gens if leq(g.truncate(c), z)]
+            if not inside:
+                continue
+            if any(g.part(1) <= c for g in inside):
+                continue
+            l = min(g.conjugate().part(c + 1) for g in inside) - 1
+            found.append(_check_pair(ZPair(z, l), n))
+    return ZSet(n, frozenset(found))
+
+
+def _width_candidates(n, c):
+    # partitions in the n x c box with first part exactly c
+    if c == 0:
+        yield Partition()
+        return
+    for tail in enumerate_partitions(n - 1, c):
+        yield Partition((c,) + tail.parts)
+
+
+@st.composite
+def antichain_ideals(draw):
+    n = draw(st.integers(1, 5))
+    gen = st.lists(st.integers(1, 7), min_size=1, max_size=n).map(
+        lambda ps: Partition(sorted(ps, reverse=True))
+    )
+    return normalize(n, draw(st.lists(gen, min_size=1, max_size=5)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(antichain_ideals())
+def test_engine_matches_reference(X):
+    assert zset_general(X) == zset_reference(X)
 
 
 def random_proper_ideal(rng, n, max_part=5):
@@ -46,10 +92,25 @@ def test_all_produced_pairs_satisfy_head_equality():
 
 
 def test_trivial_ideals_rejected():
+    zset_general(power_gens(2, 2, 3))  # a warm cache must not answer for them
     with pytest.raises(ValueError):
         zset_general(IdealSpec.zero(3))
     with pytest.raises(ValueError):
         zset_general(IdealSpec.unit(3))
+
+
+def test_check_pair_rejects_bad_labels():
+    with pytest.raises(RuntimeError):
+        _check_pair(ZPair(Partition([2, 1]), 1), 3)  # z_1 != z_2
+    with pytest.raises(RuntimeError):
+        _check_pair(ZPair(Partition([1, 1, 1]), 3), 3)  # l = n
+
+
+def test_equal_ideals_share_one_label_set():
+    X = power_gens(2, 3, 3)
+    Y = IdealSpec(3, frozenset(Partition(g.parts) for g in X.gens))
+    assert X is not Y and X == Y
+    assert zset_general(X) is zset_general(Y)
 
 
 def test_reduced_determinantal_labels():
@@ -68,9 +129,9 @@ def test_principal_single_row():
 
 
 def test_closed_forms_match_general_algorithm():
-    for n in range(1, 6):
+    for n in range(1, 7):
         for p in range(1, n + 1):
-            for d in range(1, 7):
+            for d in range(1, 9):
                 assert (
                     zset_general(power_gens(p, d, n)).pairs
                     == zset_power(p, d, n).pairs
