@@ -3,8 +3,9 @@
 Each factor label (z, l) contributes to Ext in the cohomological degrees
 cut out by chains 0 <= s <= t_1 <= ... <= t_{n-l} <= l; for one chain the
 contribution is a sum of irreducibles indexed by the dominant weights in
-an explicit box-like region.  Dimensions come from two Weyl products and
-the internal degree of a weight is its total size, always negative here.
+an explicit box-like region.  Dimensions come from one Weyl-product kernel
+per chain (``schur.expanded_dims``) and the internal degree of a weight
+is its total size, always negative here.
 Degree windows keep the enumeration finite: a single chain can contribute
 in infinitely many degrees.
 """
@@ -19,7 +20,7 @@ from typing import Mapping, Optional, Sequence
 
 from .ideals import IdealSpec, subideal
 from .partitions import Partition
-from .schur import GradedTable, Weight, schur_dim, weight_expand
+from .schur import GradedTable, Weight, expanded_dims
 from .zset import ZPair, ZSet, zset_general
 
 
@@ -173,62 +174,72 @@ def enumerate_weights(
         return []
 
     floor = l - z.part(max(l, 1)) - m  # z_0 reads as z_1
-    fixed: dict[int, int] = {}
+    fixed_at: list[Optional[int]] = [None] * n  # the value fixed at each 0-based position
     for i in range(1, k + 1):
-        pos = t[i - 1] + i - 1  # 0-based
-        fixed[pos] = t[i - 1] - z.part(n + 1 - i) - m
+        fixed_at[t[i - 1] + i - 1] = t[i - 1] - z.part(n + 1 - i) - m
 
+    # lower[j]: the floor, every fixed entry from j on, and s - n up to entry s
     lower = [floor] * n
-    for j in range(n):
-        for pos, val in fixed.items():
-            if pos >= j:
-                lower[j] = max(lower[j], val)
-        if j <= s - 1:
-            lower[j] = max(lower[j], s - n)
-    upper_cap = [None] * n  # type: list[Optional[int]]
+    top = floor
+    for j in range(n - 1, -1, -1):
+        if fixed_at[j] is not None and fixed_at[j] > top:
+            top = fixed_at[j]
+        lower[j] = max(top, s - n) if j < s else top
+    # cap_at[j]: every fixed entry up to j, and s - m from entry s + 1 on
+    cap_at: list[Optional[int]] = [None] * n
     run: Optional[int] = None
     for j in range(n):
-        if j in fixed:
-            run = fixed[j] if run is None else min(run, fixed[j])
+        if fixed_at[j] is not None:
+            run = fixed_at[j] if run is None else min(run, fixed_at[j])
         cap = run
         if j >= s and s <= n - 1:
             cap = s - m if cap is None else min(cap, s - m)
-        upper_cap[j] = cap
+        cap_at[j] = cap
 
     min_rest = [0] * (n + 1)
     for j in range(n - 1, -1, -1):
         min_rest[j] = min_rest[j + 1] + lower[j]
+    # an entry v at position j bounds the total from above by partial + v * width[j]
+    # + the sum of min(v, c) over caps_after[j]: later entries are at most v and their caps
+    caps_after: list[tuple[int, ...]] = [()] * n
+    for j in range(n - 2, -1, -1):
+        cap = cap_at[j + 1]
+        caps_after[j] = caps_after[j + 1] if cap is None else (cap,) + caps_after[j + 1]
+    width = [n - j - len(caps_after[j]) for j in range(n)]
 
     out: list[Weight] = []
+    last = n - 1
 
-    def rec(j: int, prev: Optional[int], partial: int, acc: list[int]) -> None:
-        if j == n:
-            if lo <= partial <= hi:
-                out.append(tuple(acc))
-            return
-        vmax_budget = hi - partial - min_rest[j + 1]
-        caps = [vmax_budget]
-        if prev is not None:
-            caps.append(prev)
-        if upper_cap[j] is not None:
-            caps.append(upper_cap[j])
-        vmax = min(caps)
-        vmin = lower[j]
-        if j in fixed:
-            v = fixed[j]
-            if vmin <= v <= vmax:
-                rec(j + 1, v, partial + v, acc + [v])
-            return
-        for v in range(vmax, vmin - 1, -1):
-            best_rest = partial + v
-            for kk in range(j + 1, n):
-                c = v if upper_cap[kk] is None else min(v, upper_cap[kk])
-                best_rest += c
-            if best_rest < lo:
+    # entries left to right: a fixed entry is taken in place, a free one branches
+    # from its cap down until the total can no longer reach lo
+    def rec(j: int, prev: int, partial: int, acc: Weight) -> None:
+        while True:
+            vmax = min(hi - partial - min_rest[j + 1], prev)
+            cap = cap_at[j]
+            if cap is not None and cap < vmax:
+                vmax = cap
+            v = fixed_at[j]
+            if v is None:
                 break
-            rec(j + 1, v, partial + v, acc + [v])
+            if not lower[j] <= v <= vmax:
+                return
+            j, prev, partial, acc = j + 1, v, partial + v, acc + (v,)
+            if j == n:
+                if partial >= lo:
+                    out.append(acc)
+                return
+        vmin = lower[j]
+        if j == last:
+            for v in range(vmax, max(vmin, lo - partial) - 1, -1):
+                out.append(acc + (v,))
+            return
+        caps, wj = caps_after[j], width[j]
+        for v in range(vmax, vmin - 1, -1):
+            if partial + v * wj + sum([c if c < v else v for c in caps]) < lo:
+                break
+            rec(j + 1, v, partial + v, acc + (v,))
 
-    rec(0, None, 0, [])
+    rec(0, hi - min_rest[1], 0, ())
     out.sort()
     return out
 
@@ -278,14 +289,13 @@ def _components_for_pairs(
         z, l = pair.z, pair.l
         zl = z.part(max(l, 1))  # z_0 reads as z_1
         for tup, _ in _chains_by_j(pair, m, n).get(j, ()):
-            for lam in enumerate_weights(z, l, tup.t, tup.s, m, n, lo, hi):
-                if z.part(l + 1) == zl and lam[n - 1] != l - zl - m:
-                    raise RuntimeError(f"weight {lam} of {pair}, {tup} should end in {l - zl - m}")
-                lam_exp = weight_expand(lam, tup.s, m, n)
-                dim = schur_dim(lam_exp, m) * schur_dim(lam, n)
-                comps.append(
-                    ExtComponent(pair, tup.s, tup.t, lam, lam_exp, sum(lam), dim)
-                )
+            weights = enumerate_weights(z, l, tup.t, tup.s, m, n, lo, hi)
+            if z.part(l + 1) == zl:
+                for lam in weights:
+                    if lam[n - 1] != l - zl - m:
+                        raise RuntimeError(f"weight {lam} of {pair}, {tup} should end in {l - zl - m}")
+            for lam, (lam_exp, dim) in zip(weights, expanded_dims(weights, tup.s, m, n)):
+                comps.append(ExtComponent(pair, tup.s, tup.t, lam, lam_exp, sum(lam), dim))
     comps.sort(key=ExtComponent.sort_key)
     return comps
 

@@ -9,6 +9,7 @@ partition combinatorics on that antichain.  The matrix never appears.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -34,10 +35,13 @@ class IdealSpec:
                 raise ValueError(f"generator {g} has more than {self.n} parts")
         if EMPTY in self.gens and len(self.gens) != 1:
             raise ValueError("the unit ideal must be generated by the empty partition alone")
-        gl = list(self.gens)
-        for i, a in enumerate(gl):
-            for b in gl[i + 1 :]:
-                if leq(a, b) or leq(b, a):
+        # distinct partitions of one size are never comparable, and a <= b
+        # needs |a| < |b|: test each generator against larger sizes only
+        gl = sorted(self.gens, key=lambda g: g.size)
+        sizes = [g.size for g in gl]
+        for a, size in zip(gl, sizes):
+            for b in gl[bisect_right(sizes, size) :]:
+                if leq(a, b):
                     raise ValueError(f"generators {a} and {b} are comparable; not an antichain")
 
     @classmethod

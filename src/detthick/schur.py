@@ -7,7 +7,8 @@ weight by a constant vector never changes the dimension.
 
 from __future__ import annotations
 
-from math import comb
+from itertools import combinations
+from math import comb, factorial, prod
 from typing import Sequence, Union
 
 from .ideals import IdealSpec, member
@@ -73,6 +74,74 @@ def weight_expand(lam: WeightLike, s: int, m: int, n: int) -> Weight:
     return out
 
 
+def _superfactorial(k: int) -> int:
+    # prod over 0 <= i < j < k of (j - i), the denominator of Weyl's product over GL_k
+    return prod(map(factorial, range(k)))
+
+
+def expanded_dims(weights: Sequence[Weight], s: int, m: int, n: int) -> list[tuple[Weight, int]]:
+    """Each GL_n weight's expansion at s with dim_m(expansion) * dim_n(weight).
+
+    One kernel for a batch of weights, in place of weight_expand followed by
+    two schur_dim calls per weight.  With l_i = lam_i - i, the expansion
+    keeps every l_i and inserts the block -n, ..., -m+1 at position s, so
+
+        dim_m(expanded) * dim_n(lam) = V(l)^2 * prod_{i<s, n<=q<m} (l_i + q)
+            * prod_{i>=s, n<=q<m} (-q - l_i) * sf(m-n) / (sf(m) sf(n))
+
+    with V the product over i < j of l_i - l_j and sf(k) the product over
+    0 <= i < j < k of j - i.  Factors among columns on which all weights
+    agree (the fixed entries of an Ext chain) are multiplied once per call.
+    A weight that is not dominant, breaks the bounds of weight_expand or
+    gives a Weyl product that does not divide raises RuntimeError.
+    """
+    if not 0 <= s <= n <= m:
+        raise ValueError(f"need 0 <= s <= n <= m, got s={s}, n={n}, m={m}")
+    if any([len(lam) != n for lam in weights]):
+        raise ValueError(f"every weight needs {n} entries")
+    if not weights:
+        return []
+    d = m - n
+    den = _superfactorial(m) * _superfactorial(n)
+    pad = (s - n,) * d
+    # l_a - l_b = lam_a - lam_b + b - a; the factors among columns on which
+    # all weights agree, and their signs, are taken once
+    first = weights[0]
+    free = [i for i, col in enumerate(zip(*weights)) if col.count(col[0]) != len(col)]
+    fixed = [i for i in range(n) if i not in free]
+    fixed_pairs = [first[a] - first[b] + b - a for a, b in combinations(fixed, 2)]
+    if fixed_pairs and min(fixed_pairs) <= 0:
+        raise RuntimeError(f"weight {first} is not dominant")
+    const = _superfactorial(d) * prod(fixed_pairs) ** 2
+    const *= prod([g * first[i] + c for i, g, c in _block_factors(fixed, s, m, n)])
+    pairs = [(a, b, b - a) for a, b in combinations(range(n), 2) if a in free or b in free]
+    blocks = _block_factors(free, s, m, n)
+
+    out = []
+    for lam in weights:
+        if s >= 1 and lam[s - 1] < s - n:
+            raise RuntimeError(f"entry {s} of {lam} is below {s - n}; expansion not dominant")
+        if s < n and lam[s] > s - m:
+            raise RuntimeError(f"entry {s + 1} of {lam} is above {s - m}; expansion not dominant")
+        f = [lam[a] - lam[b] + c for a, b, c in pairs]
+        if f and min(f) <= 0:
+            raise RuntimeError(f"weight {lam} is not dominant")
+        v = prod(f)
+        num = const * v * v * prod([g * lam[i] + c for i, g, c in blocks])
+        if num % den:
+            raise RuntimeError(f"Weyl product for {lam} expanded at s={s} to GL_{m} is not an integer")
+        expanded = lam[:s] + pad + tuple([e + d for e in lam[s:]]) if d else lam
+        out.append((expanded, num // den))
+    return out
+
+
+def _block_factors(at: Sequence[int], s: int, m: int, n: int) -> list[tuple[int, int, int]]:
+    # the factors g * lam_i + c of the entries at the given positions against
+    # the block the expansion inserts: l_i + q before it (i < s) and -q - l_i
+    # after it, for n <= q < m
+    return [((i, 1, q - i) if i < s else (i, -1, i - q)) for i in at for q in range(n, m)]
+
+
 def j_graded_dim(z: Partition, l: int, r: int, m: int, n: int) -> int:
     """Degree-r dimension of the factor module labeled (z, l) over an m x n matrix.
 
@@ -85,22 +154,19 @@ def j_graded_dim(z: Partition, l: int, r: int, m: int, n: int) -> int:
         raise ValueError(f"need 0 <= l <= {n}, got l={l}")
     if r < 0:
         return 0
-    total = 0
-    for x in _factor_partitions(z, l, r, n):
-        total += schur_dim(x, m) * schur_dim(x, n)
-    return total
+    return sum(dim for _, dim in expanded_dims(_factor_partitions(z, l, r, n), n, m, n))
 
 
-def _factor_partitions(z: Partition, l: int, r: int, n: int) -> list[Partition]:
-    # partitions x with x >= z, x_i = z_i for i > l and |x| = r
+def _factor_partitions(z: Partition, l: int, r: int, n: int) -> list[Weight]:
+    # partitions x with x >= z, x_i = z_i for i > l and |x| = r, as n-tuples
     tail = [z.part(i) for i in range(l + 1, n + 1)]
     budget = r - sum(tail)
-    out: list[Partition] = []
+    out: list[Weight] = []
 
     def rec(i: int, prev: int, left: int, acc: list[int]) -> None:
         if i > l:
             if left == 0:
-                out.append(Partition(acc + tail))
+                out.append(tuple(acc + tail))
             return
         floor = z.part(i)
         rest_min = sum(z.part(j) for j in range(i + 1, l + 1))
@@ -121,11 +187,12 @@ def quotient_graded_dim(X: IdealSpec, r: int, m: int, n: int) -> int:
         raise ValueError(f"need n <= m, got m={m}, n={n}")
     if r < 0:
         return 0
-    total = 0
-    for x in enumerate_partitions(n, r, size=r):
-        if not member(X, x):
-            total += schur_dim(x, m) * schur_dim(x, n)
-    return total
+    outside = [
+        x.parts + (0,) * (n - x.nparts)
+        for x in enumerate_partitions(n, r, size=r)
+        if not member(X, x)
+    ]
+    return sum(dim for _, dim in expanded_dims(outside, n, m, n))
 
 
 def ring_graded_dim(r: int, m: int, n: int) -> int:

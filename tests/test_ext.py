@@ -8,11 +8,14 @@ dimensions of the quotient.
 """
 
 from math import comb
+from typing import Optional, Sequence
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from detthick import ext
 from detthick.ext import (
+    _check_weak_hypothesis,
     default_window,
     enumerate_weights,
     ext_graded,
@@ -23,7 +26,7 @@ from detthick.ext import (
 from detthick.ideals import normalize, power_gens, saturate, symbolic_gens
 from detthick.kodaira import kodaira_check
 from detthick.partitions import Partition
-from detthick.schur import ring_graded_dim, schur_dim
+from detthick.schur import Weight, ring_graded_dim, schur_dim
 from detthick.zset import ZPair, zset_general, zset_power
 
 
@@ -102,6 +105,125 @@ def test_enumerate_weights_are_valid_components():
             for i in range(1, len(tup.t) + 1):
                 pos = tup.t[i - 1] + i  # 1-based
                 assert w[pos - 1] == tup.t[i - 1] - z.part(3 + 1 - i) - 3
+
+
+def enumerate_weights_reference(
+    z: Partition,
+    l: int,
+    t: Sequence[int],
+    s: int,
+    m: int,
+    n: int,
+    lo: int,
+    hi: int,
+) -> list[Weight]:
+    """The weight enumeration as first written, with a list accumulator and
+    the caps scanned anew at every step.  The reference the engine must
+    reproduce."""
+    if not 1 <= n <= m:
+        raise ValueError(f"need 1 <= n <= m, got m={m}, n={n}")
+    if not 0 <= l <= n:
+        raise ValueError(f"need 0 <= l <= {n}, got l={l}")
+    _check_weak_hypothesis(z, l, n)
+    if lo > hi:
+        raise ValueError(f"empty degree window [{lo}, {hi}]")
+    t = tuple(t)
+    k = n - l
+    if len(t) != k:
+        raise ValueError(f"chain {t} should have {k} entries")
+    if not (0 <= s <= (t[0] if k else l)):
+        return []
+    if any(t[i] > t[i + 1] for i in range(k - 1)) or (k and t[-1] > l):
+        return []
+
+    floor = l - z.part(max(l, 1)) - m  # z_0 reads as z_1
+    fixed: dict[int, int] = {}
+    for i in range(1, k + 1):
+        pos = t[i - 1] + i - 1  # 0-based
+        fixed[pos] = t[i - 1] - z.part(n + 1 - i) - m
+
+    lower = [floor] * n
+    for j in range(n):
+        for pos, val in fixed.items():
+            if pos >= j:
+                lower[j] = max(lower[j], val)
+        if j <= s - 1:
+            lower[j] = max(lower[j], s - n)
+    upper_cap = [None] * n  # type: list[Optional[int]]
+    run: Optional[int] = None
+    for j in range(n):
+        if j in fixed:
+            run = fixed[j] if run is None else min(run, fixed[j])
+        cap = run
+        if j >= s and s <= n - 1:
+            cap = s - m if cap is None else min(cap, s - m)
+        upper_cap[j] = cap
+
+    min_rest = [0] * (n + 1)
+    for j in range(n - 1, -1, -1):
+        min_rest[j] = min_rest[j + 1] + lower[j]
+
+    out: list[Weight] = []
+
+    def rec(j: int, prev: Optional[int], partial: int, acc: list[int]) -> None:
+        if j == n:
+            if lo <= partial <= hi:
+                out.append(tuple(acc))
+            return
+        vmax_budget = hi - partial - min_rest[j + 1]
+        caps = [vmax_budget]
+        if prev is not None:
+            caps.append(prev)
+        if upper_cap[j] is not None:
+            caps.append(upper_cap[j])
+        vmax = min(caps)
+        vmin = lower[j]
+        if j in fixed:
+            v = fixed[j]
+            if vmin <= v <= vmax:
+                rec(j + 1, v, partial + v, acc + [v])
+            return
+        for v in range(vmax, vmin - 1, -1):
+            best_rest = partial + v
+            for kk in range(j + 1, n):
+                c = v if upper_cap[kk] is None else min(v, upper_cap[kk])
+                best_rest += c
+            if best_rest < lo:
+                break
+            rec(j + 1, v, partial + v, acc + [v])
+
+    rec(0, None, 0, [])
+    out.sort()
+    return out
+
+
+@st.composite
+def chain_windows(draw):
+    """A label (z, l), a chain (t, s) of any shape, m >= n and a degree window."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    m = n + draw(st.integers(min_value=0, max_value=3))
+    l = draw(st.integers(min_value=0, max_value=n))
+    vals = sorted(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)), reverse=True)
+    vals[:l] = [vals[0]] * l
+    z = Partition(vals)
+    t = draw(st.lists(st.integers(0, l), min_size=n - l, max_size=n - l))
+    # mostly chains of the right shape, so that most windows hold weights
+    shaped = draw(st.integers(0, 4)) > 0
+    if shaped:
+        t.sort()
+    s = draw(st.integers(min_value=0, max_value=t[0] if shaped and t else n))
+    w = minimal_weight(z, l, t, s, m, n) if l < n else None
+    if w is not None and draw(st.integers(0, 4)) > 0:
+        lo = sum(w) + draw(st.integers(-2, 4))
+    else:
+        lo = draw(st.integers(-n * (m + 6), 0))
+    return z, l, tuple(t), s, m, n, lo, lo + draw(st.integers(0, 8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(chain_windows())
+def test_enumerate_weights_matches_reference(args):
+    assert enumerate_weights(*args) == enumerate_weights_reference(*args)
 
 
 def test_top_ext_of_determinant_hypersurface():

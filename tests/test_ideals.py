@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from detthick import ideals
 from detthick.ideals import (
     IdealSpec,
     intersect,
@@ -51,6 +52,43 @@ def test_validation():
     with pytest.raises(ValueError):
         # not an antichain
         IdealSpec(3, frozenset({Partition([2, 1]), Partition([2, 2, 1])}))
+
+
+def test_comparable_generators_of_different_sizes_rejected():
+    # the comparable pair sits two sizes apart, among generators of equal size
+    gens = {Partition([3]), Partition([2, 1]), Partition([1, 1, 1]), Partition([3, 2]), Partition([4, 1])}
+    with pytest.raises(ValueError, match="comparable"):
+        IdealSpec(3, frozenset(gens))
+    with pytest.raises(ValueError, match="comparable"):
+        IdealSpec(3, frozenset({Partition([1]), Partition([3, 3, 3]), Partition([2, 2])}))
+
+
+@given(st.integers(min_value=1, max_value=4), st.data())
+@settings(max_examples=200)
+def test_antichain_check_matches_all_pairs(n, data):
+    gens = frozenset(data.draw(st.lists(part_in(n, max_part=4), min_size=1, max_size=6)))
+    comparable = any(a != b and leq(a, b) for a in gens for b in gens)
+    if comparable:
+        with pytest.raises(ValueError, match="comparable"):
+            IdealSpec(n, gens)
+    else:
+        assert IdealSpec(n, gens).gens == gens
+
+
+def test_power_gens_makes_no_comparisons(monkeypatch):
+    # every generator of a power has one size, so no pair needs a leq test
+    calls = []
+
+    def counting_leq(a, b):
+        calls.append((a, b))
+        return leq(a, b)
+
+    monkeypatch.setattr(ideals, "leq", counting_leq)
+    X = power_gens(3, 8, 5)
+    assert len(X.gens) == 63
+    assert calls == []
+    normalize(3, [Partition([2, 1]), Partition([3, 1])])
+    assert calls  # the counter does see the calls ideals makes
 
 
 def test_normalize_keeps_minimal_elements():

@@ -2,11 +2,14 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from detthick import schur
+from detthick.ext import enumerate_weights, index_tuples, minimal_weight
 from detthick.ideals import normalize, power_gens
 from detthick.partitions import Partition, enumerate_partitions, leq
 from detthick.schur import (
+    expanded_dims,
     graded_table_to_json,
     j_graded_dim,
     quotient_graded_dim,
@@ -88,6 +91,74 @@ def test_weight_expand_boundary_violations():
         weight_expand((-4, -5, -6), 1, 4, 3)  # lam_1 < 1-3
     with pytest.raises(ValueError):
         weight_expand((0, 0, -6), 1, 4, 3)  # lam_2 > 1-4
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=5),
+    d=st.integers(min_value=0, max_value=3),
+    l=st.integers(min_value=0, max_value=4),
+    zvals=st.lists(st.integers(0, 4), min_size=5, max_size=5),
+    width=st.integers(min_value=0, max_value=6),
+)
+@example(n=3, d=0, l=0, zvals=[3, 2, 1, 0, 0], width=6)  # m = n, l = 0
+@example(n=4, d=2, l=3, zvals=[2, 2, 2, 1, 0], width=6)  # m - n = 2, l = n - 1
+@example(n=4, d=3, l=0, zvals=[3, 1, 1, 0, 0], width=6)
+@example(n=5, d=0, l=4, zvals=[1, 1, 1, 1, 0], width=6)
+def test_expanded_dims_matches_two_weyl_products(n, d, l, zvals, width):
+    # every weight of every feasible chain of a label (z, l), batched per chain
+    l = min(l, n - 1)
+    vals = sorted(zvals[:n], reverse=True)
+    vals[:l] = [vals[0]] * l
+    z, m = Partition(vals), n + d
+    for tup in index_tuples(z, l, m, n):
+        w = minimal_weight(z, l, tup.t, tup.s, m, n)
+        if w is None:
+            continue
+        weights = enumerate_weights(z, l, tup.t, tup.s, m, n, sum(w), sum(w) + width)
+        got = expanded_dims(weights, tup.s, m, n)
+        assert len(got) == len(weights)
+        for lam, (expanded, dim) in zip(weights, got):
+            oracle = weight_expand(lam, tup.s, m, n)
+            assert expanded == oracle
+            assert dim == schur_dim(oracle, m) * schur_dim(lam, n)
+
+
+def test_expanded_dims_of_partitions_pads_with_zeros():
+    # at s = n the expansion only appends zeros: the path of the quotient dimensions
+    for m, n in [(3, 3), (5, 3), (6, 4)]:
+        xs = [x.parts + (0,) * (n - x.nparts) for x in enumerate_partitions(n, 4, size=4)]
+        for x, (expanded, dim) in zip(xs, expanded_dims(xs, n, m, n)):
+            assert expanded == x + (0,) * (m - n)
+            assert dim == schur_dim(x, m) * schur_dim(x, n)
+    assert expanded_dims([], 1, 4, 3) == []
+
+
+def test_expanded_dims_rejects_non_dominant_weights():
+    # the bounds of weight_expand at s = 1 hold; the weight is not dominant
+    with pytest.raises(RuntimeError, match="not dominant"):
+        expanded_dims([(-2, -4, -3)], 1, 4, 3)
+    # the same, in a free column of a batch whose first column is fixed
+    with pytest.raises(RuntimeError, match="not dominant"):
+        expanded_dims([(-2, -3, -5), (-2, -4, -3)], 1, 4, 3)
+
+
+def test_expanded_dims_rejects_weights_that_do_not_expand():
+    for m in (3, 4):
+        with pytest.raises(RuntimeError, match="below"):
+            expanded_dims([(-4, -5, -6)], 1, m, 3)  # lam_1 < 1 - n
+        with pytest.raises(RuntimeError, match="above"):
+            expanded_dims([(-2, -3, -5), (0, 0, -6)], 1, m, 3)  # lam_2 > 1 - m
+    with pytest.raises(ValueError):
+        expanded_dims([(-2, -3)], 1, 4, 3)
+    with pytest.raises(ValueError):
+        expanded_dims([(-2, -3, -5)], 4, 4, 3)
+
+
+def test_expanded_dims_checks_weyl_divisibility(monkeypatch):
+    monkeypatch.setattr(schur, "_superfactorial", lambda k: 7**k)
+    with pytest.raises(RuntimeError, match="not an integer"):
+        expanded_dims([(0, 0, 0)], 3, 3, 3)
 
 
 def factor_dim_oracle(z, l, r, m, n):
