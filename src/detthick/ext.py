@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .ideals import IdealSpec, subideal
 from .partitions import Partition
@@ -57,9 +57,6 @@ class ExtComponent:
             "dim": str(self.dim),
         }
 
-    def sort_key(self) -> tuple:
-        return (self.degree, self.pair.sort_key(), self.s, self.t, self.lam)
-
 
 @dataclass(frozen=True)
 class ExtResult:
@@ -85,11 +82,16 @@ def _check_weak_hypothesis(z: Partition, l: int, n: int) -> None:
         raise ValueError(f"need z_1 = ... = z_{l} in {z}")
 
 
-def index_tuples(z: Partition, l: int, m: int, n: int) -> list[IndexTuple]:
-    """All chains for (z, l), each with j = mn - l^2 - s(m-n) - 2 sum(t)."""
+def _check_label(z: Partition, l: int, m: int, n: int) -> None:
+    # the argument checks of index_tuples, minimal_weight and enumerate_weights
     if not 1 <= n <= m:
         raise ValueError(f"need 1 <= n <= m, got m={m}, n={n}")
     _check_weak_hypothesis(z, l, n)
+
+
+def index_tuples(z: Partition, l: int, m: int, n: int) -> list[IndexTuple]:
+    """All chains for (z, l), each with j = mn - l^2 - s(m-n) - 2 sum(t)."""
+    _check_label(z, l, m, n)
     out = []
     for chain in itertools.combinations_with_replacement(range(l + 1), n - l + 1):
         s, t = chain[0], chain[1:]
@@ -98,93 +100,44 @@ def index_tuples(z: Partition, l: int, m: int, n: int) -> list[IndexTuple]:
     return out
 
 
-def minimal_weight(
-    z: Partition, l: int, t: Sequence[int], s: int, m: int, n: int
-) -> Optional[Weight]:
-    """The size-minimal weight for one chain, or None when the chain is infeasible.
+class _Region(NamedTuple):
+    """The dominant weights of one chain, as bounds on each 0-based entry."""
 
-    Feasible means: the chain shape 0 <= s <= t_1 <= ... <= t_{n-l} <= l holds,
-    s >= t_1 - z_n, consecutive t-differences are bounded by the mirrored
-    z-differences, and l - t_{n-l} <= z_l - z_{l+1}.
-    """
-    if not 1 <= n <= m:
-        raise ValueError(f"need 1 <= n <= m, got m={m}, n={n}")
-    if not 0 <= l <= n - 1:
-        raise ValueError(f"need 0 <= l <= {n - 1}, got l={l}")
-    _check_weak_hypothesis(z, l, n)
-    t = tuple(t)
-    k = n - l
-    if len(t) != k:
-        raise ValueError(f"chain {t} should have {k} entries")
-    if not (0 <= s <= t[0] and all(t[i] <= t[i + 1] for i in range(k - 1)) and t[-1] <= l):
-        return None
-    if s < t[0] - z.part(n):
-        return None
-    for i in range(1, k):
-        if t[i] - t[i - 1] > z.part(n - i) - z.part(n + 1 - i):
-            return None
-    # here and below, z_l with l = 0 reads as z_1
-    if l - t[-1] > z.part(max(l, 1)) - z.part(l + 1):
-        return None
-
-    lam = [0] * n
-    lam[0:s] = [s - n] * s
-    lam[s : t[0] + 1] = [t[0] - z.part(n) - m] * (t[0] + 1 - s)
-    for i in range(1, k):
-        lo, hi = t[i - 1] + i, t[i] + i + 1
-        lam[lo:hi] = [t[i] - z.part(n - i) - m] * (hi - lo)
-    tail_start = t[-1] + k
-    lam[tail_start:n] = [l - z.part(max(l, 1)) - m] * (n - tail_start)
-    w = tuple(lam)
-    if any(w[i] < w[i + 1] for i in range(n - 1)):
-        raise RuntimeError(f"minimal weight {w} for {z}, l={l}, t={t}, s={s} is not dominant")
-    return w
+    fixed_at: tuple[Optional[int], ...]  # the value fixed at each position, or None
+    lower: Weight  # least value of each entry; itself the size-minimal weight
+    cap_at: tuple[Optional[int], ...]  # greatest value of each entry, or None
+    min_rest: tuple[int, ...]  # min_rest[j]: the least total of entries j onwards
+    caps_after: tuple[tuple[int, ...], ...]  # the caps after each entry
+    width: tuple[int, ...]  # the uncapped entries from each entry on
 
 
-def enumerate_weights(
-    z: Partition,
-    l: int,
-    t: Sequence[int],
-    s: int,
-    m: int,
-    n: int,
-    lo: int,
-    hi: int,
-) -> list[Weight]:
-    """All contributing dominant weights for one chain with lo <= total <= hi.
-
-    The defining region fixes the entries at positions t_i + i, bounds the
-    last entry below by l - z_l - m, and imposes entry_s >= s - n and
-    entry_{s+1} <= s - m.  Contradictory constraints give an empty list.
-    """
-    if not 1 <= n <= m:
-        raise ValueError(f"need 1 <= n <= m, got m={m}, n={n}")
-    if not 0 <= l <= n:
-        raise ValueError(f"need 0 <= l <= {n}, got l={l}")
-    _check_weak_hypothesis(z, l, n)
-    if lo > hi:
-        raise ValueError(f"empty degree window [{lo}, {hi}]")
-    t = tuple(t)
+def _region(
+    z: Partition, l: int, t: tuple[int, ...], s: int, m: int, n: int
+) -> Optional[_Region]:
+    # the region enumerate_weights describes; None when the chain is misshapen
+    # or some entry's least value exceeds its cap
     k = n - l
     if len(t) != k:
         raise ValueError(f"chain {t} should have {k} entries")
     if not (0 <= s <= (t[0] if k else l)):
-        return []
+        return None
     if any(t[i] > t[i + 1] for i in range(k - 1)) or (k and t[-1] > l):
-        return []
+        return None
 
     floor = l - z.part(max(l, 1)) - m  # z_0 reads as z_1
-    fixed_at: list[Optional[int]] = [None] * n  # the value fixed at each 0-based position
+    fixed_at: list[Optional[int]] = [None] * n
     for i in range(1, k + 1):
         fixed_at[t[i - 1] + i - 1] = t[i - 1] - z.part(n + 1 - i) - m
 
     # lower[j]: the floor, every fixed entry from j on, and s - n up to entry s
     lower = [floor] * n
+    min_rest = [0] * (n + 1)
     top = floor
     for j in range(n - 1, -1, -1):
         if fixed_at[j] is not None and fixed_at[j] > top:
             top = fixed_at[j]
         lower[j] = max(top, s - n) if j < s else top
+        min_rest[j] = min_rest[j + 1] + lower[j]
     # cap_at[j]: every fixed entry up to j, and s - m from entry s + 1 on
     cap_at: list[Optional[int]] = [None] * n
     run: Optional[int] = None
@@ -192,23 +145,30 @@ def enumerate_weights(
         if fixed_at[j] is not None:
             run = fixed_at[j] if run is None else min(run, fixed_at[j])
         cap = run
-        if j >= s and s <= n - 1:
+        if j >= s:
             cap = s - m if cap is None else min(cap, s - m)
+        if cap is not None and cap < lower[j]:
+            return None
         cap_at[j] = cap
+    w = tuple(lower)
+    if any(w[i] < w[i + 1] for i in range(n - 1)):
+        raise RuntimeError(f"minimal weight {w} for {z}, l={l}, t={t}, s={s} is not dominant")
 
-    min_rest = [0] * (n + 1)
-    for j in range(n - 1, -1, -1):
-        min_rest[j] = min_rest[j + 1] + lower[j]
     # an entry v at position j bounds the total from above by partial + v * width[j]
     # + the sum of min(v, c) over caps_after[j]: later entries are at most v and their caps
     caps_after: list[tuple[int, ...]] = [()] * n
     for j in range(n - 2, -1, -1):
         cap = cap_at[j + 1]
         caps_after[j] = caps_after[j + 1] if cap is None else (cap,) + caps_after[j + 1]
-    width = [n - j - len(caps_after[j]) for j in range(n)]
+    width = tuple(n - j - len(caps_after[j]) for j in range(n))
+    return _Region(tuple(fixed_at), w, tuple(cap_at), tuple(min_rest), tuple(caps_after), width)
 
+
+def _walk(region: _Region, lo: int, hi: int) -> list[Weight]:
+    # the weights of a region with lo <= total <= hi, sorted
+    fixed_at, lower, cap_at, min_rest, caps_after, width = region
+    n = len(lower)
     out: list[Weight] = []
-    last = n - 1
 
     # entries left to right: a fixed entry is taken in place, a free one branches
     # from its cap down until the total can no longer reach lo
@@ -229,7 +189,7 @@ def enumerate_weights(
                     out.append(acc)
                 return
         vmin = lower[j]
-        if j == last:
+        if j == n - 1:
             for v in range(vmax, max(vmin, lo - partial) - 1, -1):
                 out.append(acc + (v,))
             return
@@ -244,19 +204,57 @@ def enumerate_weights(
     return out
 
 
+def minimal_weight(
+    z: Partition, l: int, t: Sequence[int], s: int, m: int, n: int
+) -> Optional[Weight]:
+    """The size-minimal weight for one chain, or None when the chain is infeasible.
+
+    Infeasible means misshapen, or with no weight in the region of enumerate_weights.
+    """
+    _check_label(z, l, m, n)
+    if l == n:
+        raise ValueError(f"need 0 <= l <= {n - 1}, got l={l}")
+    region = _region(z, l, tuple(t), s, m, n)
+    return None if region is None else region.lower
+
+
+def enumerate_weights(
+    z: Partition,
+    l: int,
+    t: Sequence[int],
+    s: int,
+    m: int,
+    n: int,
+    lo: int,
+    hi: int,
+) -> list[Weight]:
+    """All contributing dominant weights for one chain with lo <= total <= hi.
+
+    The defining region fixes the entries at positions t_i + i, bounds the
+    last entry below by l - z_l - m, and imposes entry_s >= s - n and
+    entry_{s+1} <= s - m.  Contradictory constraints give an empty list.
+    """
+    _check_label(z, l, m, n)
+    if lo > hi:
+        raise ValueError(f"empty degree window [{lo}, {hi}]")
+    region = _region(z, l, tuple(t), s, m, n)
+    return [] if region is None else _walk(region, lo, hi)
+
+
 _CHAIN_CACHE_SIZE = 4096
 
 
 @lru_cache(maxsize=_CHAIN_CACHE_SIZE)
 def _chains_by_j(
     pair: ZPair, m: int, n: int
-) -> Mapping[int, tuple[tuple[IndexTuple, Optional[Weight]], ...]]:
-    # every chain of one label with its minimal weight, grouped by j in the
-    # order of index_tuples; memoised per (label, m, n) in a bounded LRU cache
-    table: dict[int, list[tuple[IndexTuple, Optional[Weight]]]] = {}
+) -> Mapping[int, tuple[tuple[IndexTuple, _Region], ...]]:
+    # the feasible chains of one label with their weight regions, grouped by j in
+    # the order of index_tuples; memoised per (label, m, n) in a bounded LRU cache
+    table: dict[int, list[tuple[IndexTuple, _Region]]] = {}
     for tup in index_tuples(pair.z, pair.l, m, n):
-        w = minimal_weight(pair.z, pair.l, tup.t, tup.s, m, n)
-        table.setdefault(tup.j, []).append((tup, w))
+        region = _region(pair.z, pair.l, tup.t, tup.s, m, n)
+        if region is not None:
+            table.setdefault(tup.j, []).append((tup, region))
     return MappingProxyType({j: tuple(chains) for j, chains in table.items()})
 
 
@@ -265,10 +263,9 @@ def default_window(
 ) -> Optional[tuple[int, int]]:
     """[lo, lo + width] with lo the least total of any feasible minimal weight at j."""
     floors = [
-        sum(w)
+        sum(region.lower)
         for pair in pairs
-        for _, w in _chains_by_j(pair, m, n).get(j, ())
-        if w is not None
+        for _, region in _chains_by_j(pair, m, n).get(j, ())
     ]
     if not floors:
         return None
@@ -284,20 +281,24 @@ def _components_for_pairs(
     window: tuple[int, int],
 ) -> list[ExtComponent]:
     lo, hi = window
-    comps = []
+    if lo > hi:
+        raise ValueError(f"empty degree window [{lo}, {hi}]")
+    keyed = []
     for pair in pairs:
         z, l = pair.z, pair.l
         zl = z.part(max(l, 1))  # z_0 reads as z_1
-        for tup, _ in _chains_by_j(pair, m, n).get(j, ()):
-            weights = enumerate_weights(z, l, tup.t, tup.s, m, n, lo, hi)
+        pkey = pair.sort_key()
+        for tup, region in _chains_by_j(pair, m, n).get(j, ()):
+            weights = _walk(region, lo, hi)
             if z.part(l + 1) == zl:
                 for lam in weights:
                     if lam[n - 1] != l - zl - m:
                         raise RuntimeError(f"weight {lam} of {pair}, {tup} should end in {l - zl - m}")
             for lam, (lam_exp, dim) in zip(weights, expanded_dims(weights, tup.s, m, n)):
-                comps.append(ExtComponent(pair, tup.s, tup.t, lam, lam_exp, sum(lam), dim))
-    comps.sort(key=ExtComponent.sort_key)
-    return comps
+                key = (sum(lam), pkey, tup.s, tup.t, lam)
+                keyed.append((key, ExtComponent(pair, tup.s, tup.t, lam, lam_exp, key[0], dim)))
+    keyed.sort(key=lambda kc: kc[0])
+    return [comp for _, comp in keyed]
 
 
 def _tabulate(comps: Sequence[ExtComponent]) -> tuple[tuple[int, int], ...]:

@@ -9,9 +9,9 @@ partition combinatorics on that antichain.  The matrix never appears.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator, Optional
 
 from .partitions import EMPTY, Partition, enumerate_partitions, leq, sup
 
@@ -35,14 +35,9 @@ class IdealSpec:
                 raise ValueError(f"generator {g} has more than {self.n} parts")
         if EMPTY in self.gens and len(self.gens) != 1:
             raise ValueError("the unit ideal must be generated by the empty partition alone")
-        # distinct partitions of one size are never comparable, and a <= b
-        # needs |a| < |b|: test each generator against larger sizes only
-        gl = sorted(self.gens, key=lambda g: g.size)
-        sizes = [g.size for g in gl]
-        for a, size in zip(gl, sizes):
-            for b in gl[bisect_right(sizes, size) :]:
-                if leq(a, b):
-                    raise ValueError(f"generators {a} and {b} are comparable; not an antichain")
+        for b, a in _below(self.gens):
+            if a is not None:
+                raise ValueError(f"generators {a} and {b} are comparable; not an antichain")
 
     @classmethod
     def zero(cls, n: int) -> "IdealSpec":
@@ -72,19 +67,22 @@ class IdealSpec:
         return "{" + "; ".join(str(g) for g in self.sorted_gens()) + "}" + f" in P_{self.n}"
 
 
+def _below(gens: Iterable[Partition]) -> Iterator[tuple[Partition, Optional[Partition]]]:
+    # each partition of a set in order of size, with one of the set strictly
+    # below it or None; h < g needs |h| < |g|, so only smaller sizes are tested
+    gl = sorted(gens, key=lambda g: g.size)
+    sizes = [g.size for g in gl]
+    for g in gl:
+        yield g, next((h for h in gl[: bisect_left(sizes, g.size)] if leq(h, g)), None)
+
+
 def normalize(n: int, raw: Iterable[Partition]) -> IdealSpec:
     """Build an IdealSpec from any generator list, keeping minimal elements."""
-    pool = list(raw)
+    pool = set(raw)
     for g in pool:
         if g.nparts > n:
             raise ValueError(f"generator {g} has more than {n} parts")
-    minimal: list[Partition] = []
-    for g in pool:
-        if any(leq(h, g) and h != g for h in pool):
-            continue
-        if g not in minimal:
-            minimal.append(g)
-    return IdealSpec(n, frozenset(minimal))
+    return IdealSpec(n, frozenset(g for g, h in _below(pool) if h is None))
 
 
 def member(X: IdealSpec, y: Partition) -> bool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ext import ExtComponent, _chains_by_j, _components_for_pairs
+from .ext import ExtComponent, _components_for_pairs, index_tuples
 from .ideals import IdealSpec
 from .zset import zset_general
 
@@ -75,12 +75,12 @@ def kodaira_check(X: IdealSpec, m: int, n: int, jmax: int = 15) -> VanishingRepo
     mn = m * n
     window = (-mn + 1, -mn + jmax)
 
-    mechanism_ok = True
     j_low = mn - m - n + 2  # j at k = m + n - 3, the deepest scanned index
-    for pair in pairs:
-        for j, chains in _chains_by_j(pair, m, n).items():
-            if j_low <= j <= mn - 1 and any(tup.s != 0 for tup, _ in chains):
-                mechanism_ok = False
+    mechanism_ok = not any(
+        tup.s != 0 and j_low <= tup.j <= mn - 1
+        for pair in pairs
+        for tup in index_tuples(pair.z, pair.l, m, n)
+    )
 
     violations: list[ExtComponent] = []
     for k in range(m + n - 2):

@@ -11,7 +11,7 @@ from math import comb
 from typing import Optional, Sequence
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from detthick import ext
 from detthick.ext import (
@@ -105,6 +105,115 @@ def test_enumerate_weights_are_valid_components():
             for i in range(1, len(tup.t) + 1):
                 pos = tup.t[i - 1] + i  # 1-based
                 assert w[pos - 1] == tup.t[i - 1] - z.part(3 + 1 - i) - 3
+
+
+def minimal_weight_reference(
+    z: Partition, l: int, t: Sequence[int], s: int, m: int, n: int
+) -> Optional[Weight]:
+    """The minimal weight as first written, from hand-derived feasibility
+    conditions and slice by slice.  The reference the region's least weight
+    must reproduce.
+
+    Feasible means: the chain shape 0 <= s <= t_1 <= ... <= t_{n-l} <= l holds,
+    s >= t_1 - z_n, consecutive t-differences are bounded by the mirrored
+    z-differences, and l - t_{n-l} <= z_l - z_{l+1}.
+    """
+    if not 1 <= n <= m:
+        raise ValueError(f"need 1 <= n <= m, got m={m}, n={n}")
+    if not 0 <= l <= n - 1:
+        raise ValueError(f"need 0 <= l <= {n - 1}, got l={l}")
+    _check_weak_hypothesis(z, l, n)
+    t = tuple(t)
+    k = n - l
+    if len(t) != k:
+        raise ValueError(f"chain {t} should have {k} entries")
+    if not (0 <= s <= t[0] and all(t[i] <= t[i + 1] for i in range(k - 1)) and t[-1] <= l):
+        return None
+    if s < t[0] - z.part(n):
+        return None
+    for i in range(1, k):
+        if t[i] - t[i - 1] > z.part(n - i) - z.part(n + 1 - i):
+            return None
+    # here and below, z_l with l = 0 reads as z_1
+    if l - t[-1] > z.part(max(l, 1)) - z.part(l + 1):
+        return None
+
+    lam = [0] * n
+    lam[0:s] = [s - n] * s
+    lam[s : t[0] + 1] = [t[0] - z.part(n) - m] * (t[0] + 1 - s)
+    for i in range(1, k):
+        lo, hi = t[i - 1] + i, t[i] + i + 1
+        lam[lo:hi] = [t[i] - z.part(n - i) - m] * (hi - lo)
+    tail_start = t[-1] + k
+    lam[tail_start:n] = [l - z.part(max(l, 1)) - m] * (n - tail_start)
+    w = tuple(lam)
+    if any(w[i] < w[i + 1] for i in range(n - 1)):
+        raise RuntimeError(f"minimal weight {w} for {z}, l={l}, t={t}, s={s} is not dominant")
+    return w
+
+
+@st.composite
+def chains(draw):
+    """A label (z, l) with l <= n - 1, a chain (t, s) of any shape and m >= n."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    m = n + draw(st.integers(min_value=0, max_value=3))
+    l = draw(st.integers(min_value=0, max_value=n - 1))
+    vals = sorted(draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)), reverse=True)
+    vals[:l] = [vals[0]] * l
+    t = draw(st.lists(st.integers(0, l), min_size=n - l, max_size=n - l))
+    # mostly chains of the right shape, so that a fair share is feasible
+    shaped = draw(st.integers(0, 4)) > 0
+    if shaped:
+        t.sort()
+    s = draw(st.integers(min_value=0, max_value=t[0] if shaped else n))
+    return Partition(vals), l, tuple(t), s, m, n
+
+
+@settings(max_examples=500, deadline=None)
+@given(chains())
+@example((Partition([3, 2, 2]), 0, (0, 0, 0), 0, 3, 3))  # l = 0, m = n: feasible
+@example((Partition([2, 2]), 1, (0, 0), 0, 3, 3))  # infeasible: t must reach l
+@example((Partition([]), 1, (1,), 0, 2, 2))  # infeasible: s below t_1 - z_n
+@example((Partition([2, 2, 2]), 1, (0, 1), 0, 3, 3))  # infeasible: t-step above the z-step
+@example((Partition([1, 1, 1]), 2, (2,), 1, 4, 3))
+def test_minimal_weight_matches_reference(args):
+    assert minimal_weight(*args) == minimal_weight_reference(*args)
+
+
+def test_chain_table_holds_only_feasible_chains():
+    # each label's table keeps exactly the chains with a minimal weight, each
+    # with a region whose least weight is that minimal weight
+    ideals = [power_gens(2, 7, 3), symbolic_gens(2, 3, 3), saturate(power_gens(3, 2, 4), 1)]
+    ideals += [power_gens(1, 3, 2), normalize(4, [Partition([3, 1]), Partition([2, 2, 2])])]
+    infeasible = 0
+    for X in ideals:
+        n = X.n
+        for m in (n, n + 2):
+            for pair in zset_general(X).sorted_pairs():
+                z, l = pair.z, pair.l
+                want: dict = {}
+                for tup in index_tuples(z, l, m, n):
+                    w = minimal_weight_reference(z, l, tup.t, tup.s, m, n)
+                    if w is None:
+                        infeasible += 1
+                    else:
+                        want.setdefault(tup.j, []).append((tup, w))
+                table = ext._chains_by_j(pair, m, n)
+                assert {j: [tup for tup, _ in chains] for j, chains in table.items()} == {
+                    j: [tup for tup, _ in chains] for j, chains in want.items()
+                }
+                assert {
+                    j: [(tup, region.lower) for tup, region in chains]
+                    for j, chains in table.items()
+                } == want
+    assert infeasible  # the labels do have infeasible chains to leave out
+
+
+def test_empty_window_rejected():
+    X = power_gens(2, 3, 3)
+    for j in (5, 9, 20):
+        with pytest.raises(ValueError, match="empty degree window"):
+            ext_graded(X, j, 3, 3, window=(0, -1))
 
 
 def enumerate_weights_reference(
@@ -337,6 +446,14 @@ def test_component_dims_rectangular():
     for comp in res.components:
         assert comp.dim == schur_dim(comp.lam_expanded, 3) * schur_dim(comp.lam, 2)
         assert sum(comp.lam_expanded) == sum(comp.lam)
+
+
+def test_components_sort_by_degree_then_label():
+    # at this j chains of different labels share degrees out of label order,
+    # so the label's place in the key shows
+    comps = ext_graded(power_gens(2, 7, 3), 4, 3, 3).components
+    assert comps == tuple(sorted(comps, key=lambda c: (c.degree, c.pair.sort_key(), c.s, c.t, c.lam)))
+    assert comps != tuple(sorted(comps, key=lambda c: (c.degree, c.s, c.t, c.lam)))
 
 
 def test_ext_json_dims_are_strings():

@@ -100,6 +100,31 @@ def test_normalize_keeps_minimal_elements():
 
 
 @given(st.integers(min_value=1, max_value=4), st.data())
+@settings(max_examples=200)
+def test_normalize_keeps_exactly_the_minimal_elements(n, data):
+    # brute force over every pair of the list, repeats and the empty partition included
+    raw = data.draw(
+        st.lists(st.one_of(part_in(n, max_part=4), st.just(Partition([]))), min_size=1, max_size=8)
+    )
+    minimal = {g for g in raw if not any(h != g and leq(h, g) for h in raw)}
+    assert normalize(n, raw).gens == frozenset(minimal)
+
+
+def test_normalize_of_one_size_makes_no_comparisons(monkeypatch):
+    # a generator can only lie below one of larger size
+    calls = []
+
+    def counting_leq(a, b):
+        calls.append((a, b))
+        return leq(a, b)
+
+    gens = power_gens(3, 8, 5).gens
+    monkeypatch.setattr(ideals, "leq", counting_leq)
+    assert normalize(5, gens).gens == gens
+    assert calls == []
+
+
+@given(st.integers(min_value=1, max_value=4), st.data())
 def test_member_is_upward_closure_of_gens(n, data):
     X = data.draw(ideal_in(n))
     y = data.draw(part_in(n, max_part=6))
