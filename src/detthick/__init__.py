@@ -21,7 +21,6 @@ from .ideals import (
     intersect,
     member,
     normalize,
-    pieri_vertical,
     power_gens,
     radical_index,
     saturate,
@@ -32,7 +31,6 @@ from .ideals import (
 )
 from .kodaira import VanishingReport, kodaira_check, sing_codim
 from .partitions import (
-    BoxBound,
     EMPTY,
     Partition,
     enumerate_partitions,
@@ -65,7 +63,6 @@ from .zset import ZPair, ZSet, zset_general, zset_power, zset_symbolic
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoxBound",
     "EMPTY",
     "ExtComponent",
     "ExtMapResult",
@@ -93,7 +90,6 @@ __all__ = [
     "member",
     "minimal_weight",
     "normalize",
-    "pieri_vertical",
     "power_gens",
     "quotient_graded_dim",
     "r_bruteforce",

@@ -614,6 +614,10 @@ def run(argv: Sequence[str]) -> str:
             raise ValueError(f"need n >= 1, got n={args.n}")
         if args.m < args.n:
             raise ValueError(f"need m >= n, got m={args.m}, n={args.n}")
+    if getattr(args, "dmax", 1) < 1:
+        raise ValueError(f"need --dmax >= 1, got {args.dmax}")
+    if getattr(args, "rmax", 0) < 0:
+        raise ValueError(f"need --rmax >= 0, got {args.rmax}")
     if args.json and args.latex:
         raise ValueError("give at most one of --json and --latex")
     doc = {"schema": SCHEMA, "command": args.command, **cmd.compute(args)}

@@ -21,7 +21,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 from .ideals import IdealSpec, subideal
 from .partitions import Partition
 from .schur import GradedTable, Weight, expanded_dims
-from .zset import ZPair, ZSet, zset_general
+from .zset import ZPair, zset_general
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ partition combinatorics on that antichain.  The matrix never appears.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
@@ -156,6 +155,16 @@ def _check_pdn(p: int, d: int, n: int) -> None:
         raise ValueError(f"need d >= 1, got d={d}")
 
 
+def _check_zl(z: Partition, l: int, n: int) -> None:
+    # a factor label (z, l): z in P_n, 0 <= l <= n-1 and z_1 = ... = z_{l+1}
+    if z.nparts > n:
+        raise ValueError(f"{z} has more than {n} parts")
+    if not 0 <= l <= n - 1:
+        raise ValueError(f"need 0 <= l <= {n - 1}, got l={l}")
+    if any(z.part(i) != z.part(1) for i in range(2, l + 2)):
+        raise ValueError(f"need z_1 = ... = z_{l + 1} in {z}")
+
+
 def succ_gens(z: Partition, l: int, n: int) -> IdealSpec:
     """Minimal generators of the strict-successor ideal of (z, l).
 
@@ -184,35 +193,12 @@ def yset_gens(z: Partition, l: int, n: int) -> IdealSpec:
     The rectangle ((z_1+1)^(l+1)) together with ((z_i+1)^i) for each i > l+1
     where z strictly drops entering row i.
     """
-    if z.nparts > n:
-        raise ValueError(f"{z} has more than {n} parts")
-    if not 0 <= l <= n - 1:
-        raise ValueError(f"need 0 <= l <= {n - 1}, got l={l}")
-    if any(z.part(i) != z.part(1) for i in range(2, l + 2)):
-        raise ValueError(f"need z_1 = ... = z_{l + 1} in {z}")
+    _check_zl(z, l, n)
     rects = [Partition([z.part(1) + 1] * (l + 1))]
     for i in range(l + 2, n + 1):
         if z.part(i - 1) > z.part(i):
             rects.append(Partition([z.part(i) + 1] * i))
     return normalize(n, rects)
-
-
-def pieri_vertical(z: Partition, p: int, n: int) -> list[Partition]:
-    """All partitions obtained from z by adding a vertical strip of p boxes.
-
-    Vertical strip: at most one box per row, so t - z is a 0/1 vector.
-    """
-    if z.nparts > n:
-        raise ValueError(f"{z} has more than {n} parts")
-    if not 0 <= p <= n:
-        raise ValueError(f"strip size {p} outside 0..{n}")
-    out = []
-    for rows in itertools.combinations(range(1, n + 1), p):
-        parts = [z.part(i) + (1 if i in rows else 0) for i in range(1, n + 1)]
-        if all(parts[i] >= parts[i + 1] for i in range(n - 1)):
-            out.append(Partition(parts))
-    out.sort(key=lambda t: tuple(-q for q in t.parts))
-    return out
 
 
 def radical_index(X: IdealSpec) -> int:

@@ -9,7 +9,6 @@ All arithmetic is exact (Python integers).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Iterator, Optional
 
@@ -117,21 +116,6 @@ def sup(x: Partition, y: Partition) -> Partition:
     """Least upper bound: pointwise maximum of the parts."""
     k = max(x.nparts, y.nparts)
     return Partition(max(x.part(i), y.part(i)) for i in range(1, k + 1))
-
-
-@dataclass(frozen=True)
-class BoxBound:
-    """Rectangle constraint: at most ``rows`` parts, each at most ``cols``."""
-
-    rows: int
-    cols: int
-
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError(f"negative box bound {self.rows}x{self.cols}")
-
-    def fits(self, x: Partition) -> bool:
-        return x.nparts <= self.rows and x.part(1) <= self.cols
 
 
 def _desc_lex(size: int, maxpart: int, slots: int) -> Iterator[tuple[int, ...]]:

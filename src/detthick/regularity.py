@@ -4,7 +4,9 @@ The regularity of a single factor (z, l) is a maximum over lattice chains
 bounded by the successive differences of z; the regularity of a quotient
 is the maximum over its factor labels.  For powers, saturated powers and
 symbolic powers of minors the per-level maxima reduce to an optimization
-over pairs of partitions with an explicit closed form once d is large.
+over pairs of partitions.  It has a closed form wherever that is proven
+(p = n, or d >= n - 1), and the search runs only outside that range; the
+tests cross-check the two.
 Minus infinity (the regularity of the zero module) is float("-inf"); all
 finite values are exact integers.
 """
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterator, Union
 
-from .ideals import IdealSpec
+from .ideals import IdealSpec, _check_zl
 from .partitions import Partition, enumerate_partitions
 from .zset import zset_general
 
@@ -21,15 +23,6 @@ NEG_INF = float("-inf")
 RegValue = Union[int, float]
 
 KINDS = ("power", "satpower", "symbolic")
-
-
-def _check_zl(z: Partition, l: int, n: int) -> None:
-    if z.nparts > n:
-        raise ValueError(f"{z} has more than {n} parts")
-    if not 0 <= l <= n - 1:
-        raise ValueError(f"need 0 <= l <= {n - 1}, got l={l}")
-    if any(z.part(i) != z.part(1) for i in range(2, l + 2)):
-        raise ValueError(f"need z_1 = ... = z_{l + 1} in {z}")
 
 
 def reg_tuples(z: Partition, l: int, n: int) -> list[tuple[int, ...]]:
@@ -161,8 +154,8 @@ def reg_power_details(
 
     Levels are 0..p-1 for powers, 1..p-1 for saturated powers and p-1 alone
     for symbolic powers; the ideal regularity is one more than the best
-    level.  Brute force always runs; the closed form is checked against it
-    wherever it is proven.
+    level.  Each level uses the closed form where it is proven and the
+    partition-pair search elsewhere.
     """
     if not 1 <= p <= n <= m:
         raise ValueError(f"need 1 <= p <= n <= m, got p={p}, n={n}, m={m}")
@@ -177,18 +170,11 @@ def reg_power_details(
         "satpower": range(1, p),
         "symbolic": range(p - 1, p),
     }[kind]
-    per_level: dict[int, RegValue] = {}
-    for l in levels:
-        val = r_bruteforce(l, p, n, d)
-        if closed_form_valid(l, p, n, d):
-            closed = r_closed(l, p, n, d)
-            if val != closed:
-                raise RuntimeError(
-                    f"brute force gives {val}, closed form {closed} at l={l}, p={p}, n={n}, d={d}"
-                )
-        per_level[l] = val
-    best = max(per_level.values())
-    return best + 1, per_level
+    per_level: dict[int, RegValue] = {
+        l: r_closed(l, p, n, d) if closed_form_valid(l, p, n, d) else r_bruteforce(l, p, n, d)
+        for l in levels
+    }
+    return max(per_level.values()) + 1, per_level
 
 
 def reg_power_family(p: int, d: int, m: int, n: int, kind: str) -> RegValue:

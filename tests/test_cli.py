@@ -173,6 +173,25 @@ def test_main_exit_codes(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reg-powers", "--n", "4", "--p", "2", "--dmax", "0"],
+        ["reg-powers", "--n", "4", "--p", "2", "--dmax", "-2", "--kind", "symbolic"],
+        ["linear-res", "--n", "4", "--p", "2", "--dmax", "0"],
+        ["bblsz-table", "--dmax", "0"],
+        ["bblsz-table", "--dmax", "-1", "--json"],
+        ["hilbert", "--n", "3", "--ideal", "power:2:2", "--rmax", "-1"],
+    ],
+)
+def test_empty_ranges_are_errors(capsys, argv):
+    # an empty d or r range is an input error, not an empty table
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: need --") and err.count("\n") == 1
+
+
 def test_json_latex_conflict_rejected_before_computing(tmp_path):
     path = tmp_path / "check.m2"
     with pytest.raises(ValueError, match="at most one of --json and --latex"):

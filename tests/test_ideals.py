@@ -9,7 +9,6 @@ from detthick.ideals import (
     intersect,
     member,
     normalize,
-    pieri_vertical,
     power_gens,
     radical_index,
     saturate,
@@ -265,26 +264,6 @@ def test_succ_is_intersection_of_principal_and_yset():
     for z, l, n in cases:
         P = normalize(n, [z])
         assert intersect(P, yset_gens(z, l, n)).gens == succ_gens(z, l, n).gens
-
-
-def test_pieri_vertical():
-    got = pieri_vertical(Partition([2, 1]), 2, 3)
-    # all ways to add a vertical strip of 2 boxes, no two in one row
-    expect = {Partition([3, 2]), Partition([3, 1, 1]), Partition([2, 2, 1])}
-    assert set(got) == expect
-    assert len(got) == len(set(got))
-
-
-def test_pieri_lands_in_successor():
-    # adding a vertical strip of l+1 boxes to z stays inside succ(z, l)
-    for z, l, n in [
-        (Partition([3, 3]), 1, 3),
-        (Partition([2, 2, 2]), 2, 4),
-        (Partition([4, 4, 1]), 1, 4),
-    ]:
-        S = succ_gens(z, l, n)
-        for w in pieri_vertical(z, l + 1, n):
-            assert member(S, w)
 
 
 def test_radical_index():

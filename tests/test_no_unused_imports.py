@@ -1,0 +1,35 @@
+"""Every name a module of the package imports is used in that module.
+
+``__init__.py`` re-exports what it imports and ``from __future__`` imports
+are directives, so both are left out.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "detthick"
+
+
+def _unused(tree: ast.Module) -> list[tuple[str, int]]:
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    # an attribute chain a.b.c reaches ast.Name "a" through ast.walk
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((name, line) for name, line in imported.items() if name not in used)
+
+
+def test_package_has_no_unused_imports():
+    files = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert files, f"no modules found under {PACKAGE}"
+    found = [
+        f"{path.name}:{line} {name}"
+        for path in files
+        for name, line in _unused(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == []

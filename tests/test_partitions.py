@@ -3,7 +3,6 @@ from hypothesis import given, strategies as st
 
 from detthick.partitions import (
     EMPTY,
-    BoxBound,
     Partition,
     enumerate_partitions,
     leq,
@@ -154,10 +153,3 @@ def test_enumerate_fixed_size():
     ]
     for p in got:
         assert p.size == 7 and p.nparts <= 3
-
-
-def test_box_bound():
-    b = BoxBound(2, 3)
-    assert b.fits(Partition([3, 3]))
-    assert not b.fits(Partition([4]))
-    assert not b.fits(Partition([1, 1, 1]))

@@ -185,8 +185,43 @@ def test_linear_resolution_trichotomy():
                 assert has_linear_resolution(p, d, n) == expect, (p, d, n)
 
 
-def test_closed_form_mismatch_raises(monkeypatch):
-    assert closed_form_valid(0, 2, 3, 7)
-    monkeypatch.setattr(regularity, "r_closed", lambda l, p, n, d: -1)
-    with pytest.raises(RuntimeError, match="closed form"):
-        reg_power_details(2, 7, 3, 3, "power")
+def test_reg_power_details_matches_search_on_grid():
+    # the per-level values agree with the partition-pair search everywhere on
+    # the grid, both where the closed form is used and where the search is
+    brute: dict = {}
+    for n in range(1, 7):
+        for p in range(1, n + 1):
+            for d in range(1, 11):
+                for kind, levels in [
+                    ("power", range(p)),
+                    ("satpower", range(1, p)),
+                    ("symbolic", range(p - 1, p)),
+                ]:
+                    if kind == "satpower" and p < 2:
+                        continue
+                    for l in levels:
+                        if (l, p, n, d) not in brute:
+                            brute[l, p, n, d] = r_bruteforce(l, p, n, d)
+                    expect = {l: brute[l, p, n, d] for l in levels}
+                    assert reg_power_details(p, d, n, n, kind)[1] == expect, (p, d, n, kind)
+
+
+def test_proven_levels_skip_the_search(monkeypatch):
+    def refuse(l, p, n, d):
+        raise AssertionError(f"search ran at l={l}, p={p}, n={n}, d={d}")
+
+    monkeypatch.setattr(regularity, "r_bruteforce", refuse)
+    assert reg_power_details(2, 30, 6, 6, "power") == (60, {0: 59, 1: 59})
+    assert reg_power_details(3, 40, 7, 7, "satpower")[0] == 121
+    assert reg_power_details(4, 6, 7, 7, "symbolic")[0] == 24
+
+    calls = []
+
+    def count(l, p, n, d):
+        calls.append(l)
+        return r_bruteforce(l, p, n, d)
+
+    monkeypatch.setattr(regularity, "r_bruteforce", count)
+    assert not closed_form_valid(0, 2, 6, 3)
+    reg_power_details(2, 3, 6, 6, "power")
+    assert sorted(calls) == [0, 1]
