@@ -11,8 +11,9 @@ from itertools import combinations
 from math import comb, factorial, prod
 from typing import Sequence, Union
 
-from .ideals import IdealSpec, member
-from .partitions import Partition, enumerate_partitions
+from .ideals import IdealSpec
+from .partitions import Partition
+from .zset import zset_general
 
 Weight = tuple[int, ...]
 GradedTable = dict[int, int]
@@ -180,19 +181,24 @@ def _factor_partitions(z: Partition, l: int, r: int, n: int) -> list[Weight]:
 
 
 def quotient_graded_dim(X: IdealSpec, r: int, m: int, n: int) -> int:
-    """Degree-r dimension of S/I_X: sum of dim(x, m) * dim(x, n) over x outside the ideal."""
+    """Degree-r dimension of S/I_X, summed over the label filtration of S/I_X.
+
+    S/I_X has a GL-equivariant filtration whose factors are the modules
+    labeled by the pairs (z, l) of ``zset_general(X)``, so its degree-r
+    dimension is the sum of ``j_graded_dim(z, l, r, m, n)`` over the labels
+    with |z| <= r.  Below the least generator size nothing of degree r lies
+    in I_X, and the dimension is that of the ring (Cauchy's identity); that
+    case, like the zero and unit ideals, never computes the labels.
+    """
     if X.n != n:
         raise ValueError(f"ideal lives in P_{X.n}, not P_{n}")
     if not n <= m:
         raise ValueError(f"need n <= m, got m={m}, n={n}")
-    if r < 0:
+    if r < 0 or X.is_unit:
         return 0
-    outside = [
-        x.parts + (0,) * (n - x.nparts)
-        for x in enumerate_partitions(n, r, size=r)
-        if not member(X, x)
-    ]
-    return sum(dim for _, dim in expanded_dims(outside, n, m, n))
+    if X.is_zero or r < min(g.size for g in X.gens):
+        return ring_graded_dim(r, m, n)
+    return sum(j_graded_dim(p.z, p.l, r, m, n) for p in zset_general(X).pairs if p.z.size <= r)
 
 
 def ring_graded_dim(r: int, m: int, n: int) -> int:

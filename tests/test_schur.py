@@ -1,12 +1,13 @@
+import json
 from fractions import Fraction
 from math import comb
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from detthick import schur
+from detthick import cli, ideals, schur
 from detthick.ext import enumerate_weights, index_tuples, minimal_weight
-from detthick.ideals import normalize, power_gens
+from detthick.ideals import IdealSpec, member, normalize, power_gens, succ_gens
 from detthick.partitions import Partition, enumerate_partitions, leq
 from detthick.schur import (
     expanded_dims,
@@ -218,12 +219,125 @@ def test_quotient_dimension_example():
     assert quotient_graded_dim(X, 4, 3, 3) == ring_graded_dim(4, 3, 3) - loss
 
 
+def quotient_graded_dim_reference(X, r, m, n):
+    """Degree-r dimension of S/I_X: sum of dim(x, m) * dim(x, n) over x outside the ideal."""
+    if X.n != n:
+        raise ValueError(f"ideal lives in P_{X.n}, not P_{n}")
+    if not n <= m:
+        raise ValueError(f"need n <= m, got m={m}, n={n}")
+    if r < 0:
+        return 0
+    outside = [
+        x.parts + (0,) * (n - x.nparts)
+        for x in enumerate_partitions(n, r, size=r)
+        if not member(X, x)
+    ]
+    return sum(dim for _, dim in expanded_dims(outside, n, m, n))
+
+
 def test_filtration_dimensions_sum_to_quotient():
     X = normalize(3, [Partition([2, 1]), Partition([1, 1, 1])])
     pairs = zset_general(X).sorted_pairs()
     for r in range(0, 9):
         total = sum(j_graded_dim(pr.z, pr.l, r, 3, 3) for pr in pairs)
-        assert total == quotient_graded_dim(X, r, 3, 3)
+        assert total == quotient_graded_dim_reference(X, r, 3, 3)
+
+
+def gens_from_rows(n, raw):
+    return [Partition(sorted(xs[:n], reverse=True)) for xs in raw]
+
+
+rows_lists = st.lists(
+    st.lists(st.integers(1, 4), min_size=1, max_size=4), min_size=1, max_size=4
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=4),
+    d=st.integers(min_value=0, max_value=2),
+    raw=rows_lists,
+)
+@example(n=3, d=1, raw=[])  # the zero ideal
+@example(n=3, d=1, raw=[[]])  # the unit ideal
+@example(n=1, d=0, raw=[])
+@example(n=4, d=2, raw=[[]])
+def test_quotient_dimension_matches_membership_scan(n, d, raw):
+    X = normalize(n, gens_from_rows(n, raw))
+    top = max((g.size for g in X.gens), default=0) + 3
+    for r in range(0, top + 1):
+        assert quotient_graded_dim(X, r, n + d, n) == quotient_graded_dim_reference(
+            X, r, n + d, n
+        ), (X, r, n + d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=4),
+    d=st.integers(min_value=0, max_value=1),
+    raw=st.lists(st.lists(st.integers(1, 3), min_size=1, max_size=4), min_size=1, max_size=3),
+)
+@example(n=3, d=0, raw=[[2, 2], [2, 1, 1]])  # I_2^2 in 3 x 3, the square of the 2 x 2 minors
+@example(n=3, d=1, raw=[[2, 2], [3, 1, 1]])
+def test_factor_dimension_is_difference_of_quotients(n, d, raw):
+    # the factor labeled (z, l) is I_z / I_succ, so its dimension in each
+    # degree is dim (S/I_succ)_r - dim (S/I_z)_r, with both quotients counted
+    # by the membership scan
+    X = normalize(n, gens_from_rows(n, raw))
+    m = n + d
+    for pr in zset_general(X).pairs:
+        succ = succ_gens(pr.z, pr.l, n)
+        below = normalize(n, [pr.z])
+        for r in range(0, pr.z.size + 5):
+            assert j_graded_dim(pr.z, pr.l, r, m, n) == (
+                quotient_graded_dim_reference(succ, r, m, n)
+                - quotient_graded_dim_reference(below, r, m, n)
+            ), (X, pr, r)
+
+
+def test_trivial_ideals_and_low_degrees(monkeypatch):
+    # saturating I_1^3 gives the unit ideal, and "0" is the empty partition
+    for ideal in ("satpower:1:3", "gens:0"):
+        doc = cli.run(["hilbert", "--m", "4", "--n", "3", "--ideal", ideal, "--rmax", "4", "--json"])
+        X = cli.parse_ideal_spec(ideal, 3).ideal
+        assert X.is_unit
+        table = json.loads(doc)["result"]["table"]
+        assert table == {str(r): "0" for r in range(5)}
+        assert table == {str(r): str(quotient_graded_dim_reference(X, r, 4, 3)) for r in range(5)}
+    Z = IdealSpec.zero(3)
+    for r in range(-1, 8):
+        assert quotient_graded_dim(Z, r, 4, 3) == quotient_graded_dim_reference(Z, r, 4, 3)
+        assert quotient_graded_dim(Z, r, 4, 3) == (ring_graded_dim(r, 4, 3) if r >= 0 else 0)
+    # below the least generator size the quotient is the whole ring: the
+    # labels of this wide ideal are never computed
+    X = power_gens(2, 30, 6)
+
+    def no_labels(_):
+        raise AssertionError("labels computed below the least generator size")
+
+    monkeypatch.setattr(schur, "zset_general", no_labels)
+    for r in (0, 1, 5, 59):
+        assert quotient_graded_dim(X, r, 6, 6) == comb(35 + r, r)
+    assert quotient_graded_dim_reference(X, 5, 6, 6) == comb(40, 5)
+
+
+def test_quotient_dim_makes_no_membership_tests(monkeypatch):
+    # the membership scan reaches leq once per partition and generator; the
+    # filtration sum makes no membership test
+    calls = []
+
+    def counting_leq(a, b):
+        calls.append((a, b))
+        return leq(a, b)
+
+    X = power_gens(3, 8, 5)  # generators of size 24: both sides of the shortcut
+    monkeypatch.setattr(ideals, "leq", counting_leq)
+    values = [quotient_graded_dim(X, r, 6, 5) for r in range(0, 29)]
+    assert calls == []
+    assert values[:17] == [ring_graded_dim(r, 6, 5) for r in range(17)]
+    assert values[24] < ring_graded_dim(24, 6, 5)
+    assert member(X, Partition([8, 8, 8]))
+    assert calls  # the counter does see the calls membership makes
 
 
 def test_graded_table_json_uses_strings():
