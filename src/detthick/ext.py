@@ -5,9 +5,17 @@ cut out by chains 0 <= s <= t_1 <= ... <= t_{n-l} <= l; for one chain the
 contribution is a sum of irreducibles indexed by the dominant weights in
 an explicit box-like region.  Dimensions come from one Weyl-product kernel
 per chain (``schur.expanded_dims``) and the internal degree of a weight
-is its total size, always negative here.
+is its total size.
 Degree windows keep the enumeration finite: a single chain can contribute
 in infinitely many degrees.
+
+Per weight, the work is split three ways.  The walk of a chain's region
+branches only on its free entries and emits the weights that share all
+but the last free entry in one loop, with the fixed tail appended.  The
+kernel pays the factors among the free columns and looks the rest up per
+column value.  The components are put in (degree, label, s, t, weight)
+order by grouping them by degree, since the labels, the chains and each
+chain's weights already come in that order.
 """
 
 from __future__ import annotations
@@ -167,11 +175,17 @@ def _region(
 def _walk(region: _Region, lo: int, hi: int) -> list[Weight]:
     # the weights of a region with lo <= total <= hi, sorted
     fixed_at, lower, cap_at, min_rest, caps_after, width = region
-    n = len(lower)
+    free = [j for j, v in enumerate(fixed_at) if v is None]
+    if not free:
+        return [lower] if lo <= min_rest[0] <= hi else []
+    # past the last free entry every entry is fixed at its lower bound and cap
+    last = free[-1]
+    tail, tailsum = lower[last + 1 :], min_rest[last + 1]
     out: list[Weight] = []
 
     # entries left to right: a fixed entry is taken in place, a free one branches
-    # from its cap down until the total can no longer reach lo
+    # from its cap down until the total can no longer reach lo; the weights come
+    # out in descending order
     def rec(j: int, prev: int, partial: int, acc: Weight) -> None:
         while True:
             vmax = min(hi - partial - min_rest[j + 1], prev)
@@ -184,14 +198,10 @@ def _walk(region: _Region, lo: int, hi: int) -> list[Weight]:
             if not lower[j] <= v <= vmax:
                 return
             j, prev, partial, acc = j + 1, v, partial + v, acc + (v,)
-            if j == n:
-                if partial >= lo:
-                    out.append(acc)
-                return
         vmin = lower[j]
-        if j == n - 1:
-            for v in range(vmax, max(vmin, lo - partial) - 1, -1):
-                out.append(acc + (v,))
+        if j == last:
+            for v in range(vmax, max(vmin, lo - partial - tailsum) - 1, -1):
+                out.append(acc + (v,) + tail)
             return
         caps, wj = caps_after[j], width[j]
         for v in range(vmax, vmin - 1, -1):
@@ -200,7 +210,7 @@ def _walk(region: _Region, lo: int, hi: int) -> list[Weight]:
             rec(j + 1, v, partial + v, acc + (v,))
 
     rec(0, hi - min_rest[1], 0, ())
-    out.sort()
+    out.reverse()
     return out
 
 
@@ -279,15 +289,17 @@ def _components_for_pairs(
     m: int,
     n: int,
     window: tuple[int, int],
-) -> list[ExtComponent]:
+) -> tuple[tuple[ExtComponent, ...], tuple[tuple[int, int], ...]]:
+    # the components in (degree, pair, s, t, lam) order and their graded table;
+    # pairs come in sort_key order, chains in (s, t) order and each chain's weights
+    # ascending, so grouping by degree is the whole sort
     lo, hi = window
     if lo > hi:
         raise ValueError(f"empty degree window [{lo}, {hi}]")
-    keyed = []
+    by_degree: dict[int, list[ExtComponent]] = {}
     for pair in pairs:
         z, l = pair.z, pair.l
         zl = z.part(max(l, 1))  # z_0 reads as z_1
-        pkey = pair.sort_key()
         for tup, region in _chains_by_j(pair, m, n).get(j, ()):
             weights = _walk(region, lo, hi)
             if z.part(l + 1) == zl:
@@ -295,17 +307,13 @@ def _components_for_pairs(
                     if lam[n - 1] != l - zl - m:
                         raise RuntimeError(f"weight {lam} of {pair}, {tup} should end in {l - zl - m}")
             for lam, (lam_exp, dim) in zip(weights, expanded_dims(weights, tup.s, m, n)):
-                key = (sum(lam), pkey, tup.s, tup.t, lam)
-                keyed.append((key, ExtComponent(pair, tup.s, tup.t, lam, lam_exp, key[0], dim)))
-    keyed.sort(key=lambda kc: kc[0])
-    return [comp for _, comp in keyed]
-
-
-def _tabulate(comps: Sequence[ExtComponent]) -> tuple[tuple[int, int], ...]:
-    table: GradedTable = {}
-    for c in comps:
-        table[c.degree] = table.get(c.degree, 0) + c.dim
-    return tuple(sorted(table.items()))
+                degree = sum(lam)
+                comp = ExtComponent(pair, tup.s, tup.t, lam, lam_exp, degree, dim)
+                by_degree.setdefault(degree, []).append(comp)
+    degrees = sorted(by_degree)
+    comps = tuple([c for e in degrees for c in by_degree[e]])
+    table = tuple([(e, sum([c.dim for c in by_degree[e]])) for e in degrees])
+    return comps, table
 
 
 def ext_graded(
@@ -327,8 +335,7 @@ def ext_graded(
         window = default_window(pairs, j, m, n)
     if window is None:
         return ExtResult(j, m, n, None, (), ())
-    comps = _components_for_pairs(pairs, j, m, n, window)
-    return ExtResult(j, m, n, window, tuple(comps), _tabulate(comps))
+    return ExtResult(j, m, n, window, *_components_for_pairs(pairs, j, m, n, window))
 
 
 @dataclass(frozen=True)
@@ -385,9 +392,6 @@ def ext_map_parts(
         window = default_window(sorted(zsub | zsup, key=ZPair.sort_key), j, m, n)
     parts = {}
     for name, pairs in split.items():
-        if window is None:
-            comps: list[ExtComponent] = []
-        else:
-            comps = _components_for_pairs(pairs, j, m, n, window)
-        parts[name] = ExtMapPart(tuple(pairs), tuple(comps), _tabulate(comps))
+        comps, table = ((), ()) if window is None else _components_for_pairs(pairs, j, m, n, window)
+        parts[name] = ExtMapPart(tuple(pairs), comps, table)
     return ExtMapResult(j, m, n, window, parts["kernel"], parts["image"], parts["cokernel"])

@@ -60,10 +60,10 @@ def kodaira_check(X: IdealSpec, m: int, n: int, jmax: int = 15) -> VanishingRepo
     """Scan twists 1..jmax at every k < m + n - 2 and report violations.
 
     A violation is an Ext component of S/I_X at cohomological index
-    m n - 1 - k in an internal degree above -m n.  Also asserts the
-    structural mechanism: every chain whose cohomological degree falls in
-    the scanned range has s = 0, which forces all its weights to total at
-    most -m n regardless of the window.
+    m n - 1 - k in an internal degree above -m n.  Also reports the
+    structural mechanism in ``mechanism_ok``: every chain whose cohomological
+    degree falls in the scanned range has s = 0, which forces all its
+    weights to total at most -m n regardless of the window.
     """
     if not 2 <= n <= m:
         raise ValueError(f"need 2 <= n <= m, got m={m}, n={n}")
@@ -85,7 +85,7 @@ def kodaira_check(X: IdealSpec, m: int, n: int, jmax: int = 15) -> VanishingRepo
     violations: list[ExtComponent] = []
     for k in range(m + n - 2):
         j = mn - 1 - k
-        violations.extend(_components_for_pairs(pairs, j, m, n, window))
+        violations.extend(_components_for_pairs(pairs, j, m, n, window)[0])
     return VanishingReport(
         m, n, jmax, X, tuple(range(m + n - 2)), tuple(violations), mechanism_ok
     )

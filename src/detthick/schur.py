@@ -93,6 +93,11 @@ def expanded_dims(weights: Sequence[Weight], s: int, m: int, n: int) -> list[tup
     with V the product over i < j of l_i - l_j and sf(k) the product over
     0 <= i < j < k of j - i.  Factors among columns on which all weights
     agree (the fixed entries of an Ext chain) are multiplied once per call.
+    A free column's factors against the fixed columns and the block depend
+    only on its value; they are multiplied, and checked for dominance, the
+    first time the call meets that value, and looked up after that.  Each
+    weight then pays only the factors among its free columns, the bounds
+    of weight_expand and the divisibility of its product.
     A weight that is not dominant, breaks the bounds of weight_expand or
     gives a Weyl product that does not divide raises RuntimeError.
     """
@@ -115,8 +120,18 @@ def expanded_dims(weights: Sequence[Weight], s: int, m: int, n: int) -> list[tup
         raise RuntimeError(f"weight {first} is not dominant")
     const = _superfactorial(d) * prod(fixed_pairs) ** 2
     const *= prod([g * first[i] + c for i, g, c in _block_factors(fixed, s, m, n)])
-    pairs = [(a, b, b - a) for a, b in combinations(range(n), 2) if a in free or b in free]
-    blocks = _block_factors(free, s, m, n)
+    pairs = [(a, b, b - a) for a, b in combinations(free, 2)]
+    # a free column's factors g * lam_i + c against the fixed columns (squared,
+    # as in V^2) and against the block depend only on its value: a memo each
+    columns = [
+        (
+            i,
+            {},
+            [(1, f - i - first[f]) if i < f else (-1, first[f] + i - f) for f in fixed],
+            [(g, c) for _, g, c in _block_factors([i], s, m, n)],
+        )
+        for i in free
+    ]
 
     out = []
     for lam in weights:
@@ -128,7 +143,16 @@ def expanded_dims(weights: Sequence[Weight], s: int, m: int, n: int) -> list[tup
         if f and min(f) <= 0:
             raise RuntimeError(f"weight {lam} is not dominant")
         v = prod(f)
-        num = const * v * v * prod([g * lam[i] + c for i, g, c in blocks])
+        num = const * v * v
+        for i, memo, against, block in columns:
+            x = lam[i]
+            w = memo.get(x)
+            if w is None:
+                fx = [g * x + c for g, c in against]
+                if fx and min(fx) <= 0:
+                    raise RuntimeError(f"weight {lam} is not dominant")
+                w = memo[x] = prod(fx) ** 2 * prod([g * x + c for g, c in block])
+            num *= w
         if num % den:
             raise RuntimeError(f"Weyl product for {lam} expanded at s={s} to GL_{m} is not an integer")
         expanded = lam[:s] + pad + tuple([e + d for e in lam[s:]]) if d else lam

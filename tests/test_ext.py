@@ -7,6 +7,7 @@ either produced by an in-test brute force or cross-checked against the graded
 dimensions of the quotient.
 """
 
+import time
 from math import comb
 from typing import Optional, Sequence
 
@@ -15,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from detthick import ext
 from detthick.ext import (
+    ExtComponent,
     _check_weak_hypothesis,
     default_window,
     enumerate_weights,
@@ -26,7 +28,7 @@ from detthick.ext import (
 from detthick.ideals import normalize, power_gens, saturate, symbolic_gens
 from detthick.kodaira import kodaira_check
 from detthick.partitions import Partition
-from detthick.schur import Weight, ring_graded_dim, schur_dim
+from detthick.schur import Weight, ring_graded_dim, schur_dim, weight_expand
 from detthick.zset import ZPair, zset_general, zset_power
 
 
@@ -331,8 +333,30 @@ def chain_windows(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(chain_windows())
+# l = 0 fixes every entry: the region has no free entry and holds one weight,
+# inside the window and outside it
+@example((Partition([3, 2, 2]), 0, (0, 0, 0), 0, 3, 3, -20, -10))
+@example((Partition([3, 2, 2]), 0, (0, 0, 0), 0, 3, 3, -15, -10))
+# t = (2, 2) fixes the last two entries, after the free ones; with (2, 2, 2)
+# a fixed tail of three
+@example((Partition([2, 2, 1, 1]), 2, (2, 2), 2, 4, 4, -10, -4))
+@example((Partition([3, 3, 1]), 2, (2, 2, 2), 2, 5, 5, -16, -10))
 def test_enumerate_weights_matches_reference(args):
     assert enumerate_weights(*args) == enumerate_weights_reference(*args)
+
+
+@settings(max_examples=300, deadline=None)
+@given(chain_windows())
+@example((Partition([2, 2, 1, 1]), 2, (2, 2), 2, 4, 4, -10, -4))
+def test_walk_is_strictly_ascending(args):
+    # the walk emits its weights in descending order and reverses them, which
+    # sorts them only if every emitted weight is strictly below the one before
+    z, l, t, s, m, n, lo, hi = args
+    region = ext._region(z, l, t, s, m, n)
+    if region is None:
+        return
+    weights = ext._walk(region, lo, hi)
+    assert all(a < b for a, b in zip(weights, weights[1:]))
 
 
 def test_top_ext_of_determinant_hypersurface():
@@ -454,6 +478,116 @@ def test_components_sort_by_degree_then_label():
     comps = ext_graded(power_gens(2, 7, 3), 4, 3, 3).components
     assert comps == tuple(sorted(comps, key=lambda c: (c.degree, c.pair.sort_key(), c.s, c.t, c.lam)))
     assert comps != tuple(sorted(comps, key=lambda c: (c.degree, c.s, c.t, c.lam)))
+
+
+def components_order_reference(
+    pairs: Sequence[ZPair], j: int, m: int, n: int, window: Optional[tuple[int, int]]
+) -> tuple[ExtComponent, ...]:
+    """The components at j as first computed: every weight of every chain from
+    the enumeration reference, the expansion and the two Weyl dimensions from
+    weight_expand and schur_dim, and one sort by (degree, pair, s, t, lam).
+    The content and order the engine must reproduce."""
+    if window is None:
+        return ()
+    comps = []
+    for pair in pairs:
+        for tup in index_tuples(pair.z, pair.l, m, n):
+            if tup.j != j:
+                continue
+            for lam in enumerate_weights_reference(pair.z, pair.l, tup.t, tup.s, m, n, *window):
+                big = weight_expand(lam, tup.s, m, n)
+                dim = schur_dim(big, m) * schur_dim(lam, n)
+                comps.append(ExtComponent(pair, tup.s, tup.t, lam, big, sum(lam), dim))
+    return tuple(sorted(comps, key=lambda c: (c.degree, c.pair.sort_key(), c.s, c.t, c.lam)))
+
+
+def table_reference(comps: Sequence[ExtComponent]) -> tuple[tuple[int, int], ...]:
+    table: dict[int, int] = {}
+    for c in comps:
+        table[c.degree] = table.get(c.degree, 0) + c.dim
+    return tuple(sorted(table.items()))
+
+
+@st.composite
+def ideal_pairs(draw):
+    """A proper nonzero antichain ideal inside a bigger one, m and a window shift."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    m = n + draw(st.integers(min_value=0, max_value=2))
+    rows = st.lists(st.integers(1, 3), min_size=1, max_size=n)
+    raw = draw(st.lists(rows, min_size=1, max_size=3))
+    extra = draw(st.lists(rows, min_size=0, max_size=2))
+    gens = [Partition(sorted(xs, reverse=True)) for xs in raw]
+    more = [Partition(sorted(xs, reverse=True)) for xs in extra]
+    shift = draw(st.none() | st.tuples(st.integers(-3, 8), st.integers(0, 8)))
+    return normalize(n, gens), normalize(n, gens + more), m, n, shift
+
+
+@settings(max_examples=60, deadline=None)
+@given(ideal_pairs())
+@example((power_gens(2, 3, 3), power_gens(2, 2, 3), 3, 3, None))
+@example((symbolic_gens(2, 3, 3), power_gens(2, 2, 3), 4, 3, (2, 5)))
+@example((power_gens(1, 2, 2), power_gens(1, 1, 2), 4, 2, (0, 0)))
+def test_components_match_order_reference(args):
+    # every feasible j, in the default window or one shifted from its start:
+    # Ext, each part of the Ext map and each k-block of the Kodaira scan give
+    # the reference's components, in its order
+    sub, sup, m, n, shift = args
+    pairs = zset_general(sub).sorted_pairs()
+    zsub, zsup = zset_general(sub).pairs, zset_general(sup).pairs
+    both = sorted(zsub | zsup, key=ZPair.sort_key)
+
+    def window_for(labels, j):
+        window = default_window(labels, j, m, n)
+        if shift is None or window is None:
+            return window
+        return (window[0] + shift[0], window[0] + shift[0] + shift[1])
+
+    for j in sorted({j for pair in both for j in ext._chains_by_j(pair, m, n)}):
+        res = ext_graded(sub, j, m, n, window_for(pairs, j))
+        want = components_order_reference(pairs, j, m, n, res.window)
+        assert res.components == want, (sub, j, m, res.window)
+        assert res.table == table_reference(want)
+
+        got = ext_map_parts(sub, sup, j, m, n, window_for(both, j))
+        split = {"kernel": zsup - zsub, "image": zsup & zsub, "cokernel": zsub - zsup}
+        for name, labels in split.items():
+            part = getattr(got, name)
+            want = components_order_reference(sorted(labels, key=ZPair.sort_key), j, m, n, got.window)
+            assert part.components == want, (sub, sup, j, m, name)
+            assert part.table == table_reference(want)
+    if n >= 2:
+        mn = m * n
+        report = kodaira_check(sub, m, n, jmax=4)
+        want = ()
+        for k in report.k_checked:
+            want += components_order_reference(pairs, mn - 1 - k, m, n, (-mn + 1, -mn + 4))
+        assert report.violations == want
+
+
+def test_wide_window_costs_what_its_weights_cost():
+    # the components are grouped by degree in a dict, so nothing is sized by
+    # the width of the window: a billion degrees cost what [-1000, 0] costs
+    start = time.perf_counter()
+    wide = ext_graded(power_gens(2, 2, 3), 4, 3, 3, window=(-10**9, 0))
+    wide_map = ext_map_parts(power_gens(2, 3, 3), power_gens(2, 2, 3), 4, 3, 3, window=(-10**9, 0))
+    elapsed = time.perf_counter() - start
+    narrow = ext_graded(power_gens(2, 2, 3), 4, 3, 3, window=(-1000, 0))
+    narrow_map = ext_map_parts(power_gens(2, 3, 3), power_gens(2, 2, 3), 4, 3, 3, window=(-1000, 0))
+    assert wide.components and wide.components == narrow.components
+    assert wide.table == narrow.table
+    for name in ("kernel", "image", "cokernel"):
+        assert getattr(wide_map, name) == getattr(narrow_map, name)
+    assert wide_map.image.components
+    assert elapsed < 1.0
+
+
+def test_last_entry_check_raises(monkeypatch):
+    # when z_{l+1} = z_l every weight must end in l - z_l - m; a walk that
+    # lowers the last entry breaks that
+    walk = ext._walk
+    monkeypatch.setattr(ext, "_walk", lambda *a: [w[:-1] + (w[-1] - 1,) for w in walk(*a)])
+    with pytest.raises(RuntimeError, match="should end in"):
+        ext_graded(power_gens(2, 7, 3), 4, 3, 3)
 
 
 def test_ext_json_dims_are_strings():

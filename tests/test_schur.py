@@ -106,6 +106,9 @@ def test_weight_expand_boundary_violations():
 @example(n=4, d=2, l=3, zvals=[2, 2, 2, 1, 0], width=6)  # m - n = 2, l = n - 1
 @example(n=4, d=3, l=0, zvals=[3, 1, 1, 0, 0], width=6)
 @example(n=5, d=0, l=4, zvals=[1, 1, 1, 1, 0], width=6)
+# the chain t = (2, 2) at s = 2 frees the first two columns, and the first
+# repeats its values across weights: (-1, -2, -3, -3), (-1, -1, -3, -3), ...
+@example(n=4, d=0, l=2, zvals=[2, 2, 1, 1, 0], width=6)
 def test_expanded_dims_matches_two_weyl_products(n, d, l, zvals, width):
     # every weight of every feasible chain of a label (z, l), batched per chain
     l = min(l, n - 1)
@@ -142,6 +145,17 @@ def test_expanded_dims_rejects_non_dominant_weights():
     # the same, in a free column of a batch whose first column is fixed
     with pytest.raises(RuntimeError, match="not dominant"):
         expanded_dims([(-2, -3, -5), (-2, -4, -3)], 1, 4, 3)
+
+
+def test_expanded_dims_checks_each_new_value_of_a_free_column():
+    # the middle column is free and the others fixed; 3 is met twice, and 6
+    # breaks dominance only against the fixed first column (5 - 6 + 1 = 0)
+    weights = [(5, 3, 0), (5, 2, 0), (5, 3, 0)]
+    assert [dim for _, dim in expanded_dims(weights, 3, 3, 3)] == [
+        schur_dim(lam, 3) ** 2 for lam in weights
+    ]
+    with pytest.raises(RuntimeError, match="not dominant"):
+        expanded_dims(weights + [(5, 6, 0)], 3, 3, 3)
 
 
 def test_expanded_dims_rejects_weights_that_do_not_expand():
