@@ -627,11 +627,28 @@ def run(argv: Sequence[str]) -> str:
     return render(doc["request"], doc["result"])
 
 
+def _out_of_memory(argv: Sequence[str]) -> str:
+    # the error for a run that exhausted memory; a wide degree window is the
+    # usual cause, since a chain can have weights in every degree of it
+    args = _parser().parse_args(argv)
+    if not hasattr(args, "window"):
+        return f"out of memory computing {args.command}"
+    window = _window_from_args(args)
+    where = "its default window" if window is None else f"the window [{window[0]}, {window[1]}]"
+    return f"out of memory computing {args.command} in {where}; try a narrower --window"
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        out = run(sys.argv[1:] if argv is None else list(argv))
+        out = run(argv)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        out = None  # reported below, once the traceback and the work it holds are freed
+    if out is None:
+        print(f"error: {_out_of_memory(argv)}", file=sys.stderr)
         return 1
     sys.stdout.write(out)
     return 0

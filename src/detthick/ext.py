@@ -15,7 +15,10 @@ but the last free entry in one loop, with the fixed tail appended.  The
 kernel pays the factors among the free columns and looks the rest up per
 column value.  The components are put in (degree, label, s, t, weight)
 order by grouping them by degree, since the labels, the chains and each
-chain's weights already come in that order.
+chain's weights already come in that order.  Components and chains are
+named tuples, the cheapest immutable record to build: a component equals
+the plain tuple of its fields, and ``_replace`` stands in for
+``dataclasses.replace``.
 """
 
 from __future__ import annotations
@@ -32,8 +35,7 @@ from .schur import GradedTable, Weight, expanded_dims
 from .zset import ZPair, zset_general
 
 
-@dataclass(frozen=True)
-class IndexTuple:
+class IndexTuple(NamedTuple):
     """One chain (s, t_1 <= ... <= t_{n-l}) with its cohomological degree j."""
 
     s: int
@@ -41,8 +43,7 @@ class IndexTuple:
     j: int
 
 
-@dataclass(frozen=True)
-class ExtComponent:
+class ExtComponent(NamedTuple):
     """One irreducible summand of an Ext module."""
 
     pair: ZPair
@@ -252,6 +253,7 @@ def enumerate_weights(
 
 
 _CHAIN_CACHE_SIZE = 4096
+_DEFAULT_WIDTH = 10  # degrees past the least one in a default window
 
 
 @lru_cache(maxsize=_CHAIN_CACHE_SIZE)
@@ -269,9 +271,9 @@ def _chains_by_j(
 
 
 def default_window(
-    pairs: Sequence[ZPair], j: int, m: int, n: int, width: int = 10
+    pairs: Sequence[ZPair], j: int, m: int, n: int
 ) -> Optional[tuple[int, int]]:
-    """[lo, lo + width] with lo the least total of any feasible minimal weight at j."""
+    """[lo, lo + 10] with lo the least total of any feasible minimal weight at j."""
     floors = [
         sum(region.lower)
         for pair in pairs
@@ -280,7 +282,7 @@ def default_window(
     if not floors:
         return None
     lo = min(floors)
-    return (lo, lo + width)
+    return (lo, lo + _DEFAULT_WIDTH)
 
 
 def _components_for_pairs(

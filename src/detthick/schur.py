@@ -155,7 +155,7 @@ def expanded_dims(weights: Sequence[Weight], s: int, m: int, n: int) -> list[tup
             num *= w
         if num % den:
             raise RuntimeError(f"Weyl product for {lam} expanded at s={s} to GL_{m} is not an integer")
-        expanded = lam[:s] + pad + tuple([e + d for e in lam[s:]]) if d else lam
+        expanded = (*lam[:s], *pad, *[e + d for e in lam[s:]]) if d else lam
         out.append((expanded, num // den))
     return out
 

@@ -192,6 +192,29 @@ def test_empty_ranges_are_errors(capsys, argv):
     assert err.startswith("error: need --") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, target, message",
+    [
+        (["ext", "--n", "3", "--ideal", "power:2:2", "--cohdeg", "4", "--window", "0", "1000000"],
+         "ext_graded", "computing ext in the window [0, 1000000]; try a narrower --window"),
+        (["ext", "--n", "3", "--ideal", "power:2:2", "--cohdeg", "4", "--deg", "7"],
+         "ext_graded", "computing ext in the window [7, 7]; try a narrower --window"),
+        (["ext-map", "--n", "3", "--sub", "power:2:3", "--super", "power:2:2", "--cohdeg", "4"],
+         "ext_map_parts", "computing ext-map in its default window; try a narrower --window"),
+        (["zset", "--n", "3", "--ideal", "power:2:2"], "zset_general", "computing zset"),
+    ],
+)
+def test_out_of_memory_is_one_error_line(capsys, monkeypatch, argv, target, message):
+    def exhaust(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, target, exhaust)
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: out of memory {message}\n"
+
+
 def test_json_latex_conflict_rejected_before_computing(tmp_path):
     path = tmp_path / "check.m2"
     with pytest.raises(ValueError, match="at most one of --json and --latex"):

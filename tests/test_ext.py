@@ -7,6 +7,7 @@ either produced by an in-test brute force or cross-checked against the graded
 dimensions of the quotient.
 """
 
+import pickle
 import time
 from math import comb
 from typing import Optional, Sequence
@@ -17,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 from detthick import ext
 from detthick.ext import (
     ExtComponent,
+    IndexTuple,
     _check_weak_hypothesis,
     default_window,
     enumerate_weights,
@@ -393,6 +395,30 @@ def test_worked_example_full_slice():
     for comp in res.components:
         assert comp.s == 0 and tuple(comp.t) == (0, 0, 0)
         assert comp.degree == sum(comp.lam)
+
+
+def test_ext_records_are_named_tuples():
+    # the field order is the positional constructor's; records are immutable
+    # values that compare, hash and pickle by their fields
+    assert ExtComponent._fields == ("pair", "s", "t", "lam", "lam_expanded", "degree", "dim")
+    assert IndexTuple._fields == ("s", "t", "j")
+    first = ext_graded(power_gens(2, 3, 3), 6, 4, 3).components
+    again = ext_graded(power_gens(2, 3, 3), 6, 4, 3).components
+    assert len(first) == 41
+    assert first == again and hash(first) == hash(again)
+    assert pickle.loads(pickle.dumps(first)) == first
+    comp = first[-1]
+    chain = index_tuples(comp.pair.z, comp.pair.l, 4, 3)[0]
+    assert chain == IndexTuple(0, (0, 0), 11) == (0, (0, 0), 11)
+    for rec in (comp, chain):
+        with pytest.raises(AttributeError):
+            rec.s = 2
+        assert pickle.loads(pickle.dumps(rec)) == rec
+        assert rec == tuple(rec) and rec._replace(s=2).s == 2
+    assert comp.to_json() == {
+        "z": [2, 2], "l": 1, "s": 1, "t": [1, 1], "lambda": [8, -3, -5],
+        "lambda_expanded": [8, -2, -2, -4], "degree": 0, "dim": "534600",
+    }
 
 
 def test_default_window_starts_at_least_degree():
