@@ -1,11 +1,13 @@
 """Command line front end.
 
-Every command resolves its request fully (normalized generators, explicit
-window), computes, and renders either text, JSON or LaTeX.  JSON is the
-source of truth: the text and LaTeX views are derived from the same result
-dictionary, and the emitted JSON embeds the resolved request so the exact
-invocation can be replayed.  Each command is one entry of ``_COMMANDS``,
-which holds its flags, its computation and its two renderers.
+Every command computes one result dictionary and renders it as text, JSON
+or LaTeX.  JSON is the source of truth: the text and LaTeX views are derived
+from the same dictionary.  The emitted JSON also embeds the request: every
+flag as resolved, with ideals normalized to their generators, ``--m``
+defaulted to ``--n`` and ``--deg``/``--window`` replaced by the window used,
+so the exact invocation can be replayed.  ``run`` builds the request in one
+place for every command.  Each command is one entry of ``_COMMANDS``, which
+holds its flags, its computation and its two renderers.
 """
 
 from __future__ import annotations
@@ -138,8 +140,13 @@ def _latex_zset(req, res) -> str:
     return _latex_table(["$z$", "$l$"], rows)
 
 
+def _numeric_items(table: dict) -> list[tuple[str, object]]:
+    # a JSON table's entries in numeric order of their string keys
+    return sorted(table.items(), key=lambda kv: int(kv[0]))
+
+
 def _text_table_block(table: dict) -> list[str]:
-    return [f"  degree {r}: dim {v}" for r, v in sorted(table.items(), key=lambda kv: int(kv[0]))]
+    return [f"  degree {r}: dim {v}" for r, v in _numeric_items(table)]
 
 
 def _text_ext(req, res) -> str:
@@ -190,11 +197,11 @@ def _text_ext_map(req, res) -> str:
 
 
 def _latex_ext_map(req, res) -> str:
-    rows = []
-    for name in ("kernel", "image", "cokernel"):
-        part = res[name]
-        for r, v in sorted(part["table"].items(), key=lambda kv: int(kv[0])):
-            rows.append([name, r, v])
+    rows = [
+        [name, r, v]
+        for name in ("kernel", "image", "cokernel")
+        for r, v in _numeric_items(res[name]["table"])
+    ]
     return _latex_table(["part", "deg", "dim"], rows)
 
 
@@ -215,9 +222,7 @@ def _latex_reg(req, res) -> str:
 def _text_reg_powers(req, res) -> str:
     lines = [f"regularity of {req['kind']} of {req['p']}x{req['p']} minors, n={req['n']}"]
     for row in res["rows"]:
-        per = " ".join(
-            f"R[{l}]={_fmt_reg(v)}" for l, v in sorted(row["per_level"].items(), key=lambda kv: int(kv[0]))
-        )
+        per = " ".join(f"R[{l}]={_fmt_reg(v)}" for l, v in _numeric_items(row["per_level"]))
         lines.append(f"  d={row['d']}: reg={_fmt_reg(row['reg'])}  ({per})")
     return "\n".join(lines) + "\n"
 
@@ -234,8 +239,7 @@ def _text_hilbert(req, res) -> str:
 
 
 def _latex_hilbert(req, res) -> str:
-    rows = [[r, v] for r, v in sorted(res["table"].items(), key=lambda kv: int(kv[0]))]
-    return _latex_table(["deg", "dim"], rows)
+    return _latex_table(["deg", "dim"], [[r, v] for r, v in _numeric_items(res["table"])])
 
 
 def _text_kodaira(req, res) -> str:
@@ -355,48 +359,29 @@ def _window_from_args(args) -> Optional[tuple[int, int]]:
 
 
 def _cmd_zset(args) -> dict:
-    parsed = parse_ideal_spec(args.ideal, args.n)
-    zs = zset_general(parsed.ideal)
-    return {
-        "request": {"m": args.m, "n": args.n, "ideal": parsed.ideal.to_json()},
-        "result": {
-            "count": len(zs.pairs),
-            "pairs": [p.to_json() for p in zs.sorted_pairs()],
-        },
-    }
+    zs = zset_general(args.ideal.ideal)
+    return {"count": len(zs.pairs), "pairs": [p.to_json() for p in zs.sorted_pairs()]}
 
 
 def _cmd_ext(args) -> dict:
-    parsed = parse_ideal_spec(args.ideal, args.n)
     window = _window_from_args(args)
-    res = ext_graded(parsed.ideal, args.cohdeg, args.m, args.n, window)
+    res = ext_graded(args.ideal.ideal, args.cohdeg, args.m, args.n, window)
     if args.emit_m2:
         if res.window is None:
             raise ValueError("no contributing chain at this cohomological degree; nothing to emit")
-        emit_m2(parsed, args.m, args.n, "ext", args.emit_m2,
+        emit_m2(args.ideal, args.m, args.n, "ext", args.emit_m2,
                 cohdeg=args.cohdeg, lo=res.window[0], hi=res.window[1])
     return {
-        "request": {
-            "m": args.m,
-            "n": args.n,
-            "ideal": parsed.ideal.to_json(),
-            "cohdeg": args.cohdeg,
-            "window": list(res.window) if res.window else None,
-        },
-        "result": {
-            "window": list(res.window) if res.window else None,
-            "components": [c.to_json() for c in res.components],
-            "table": graded_table_to_json(res.graded()),
-            "total": str(sum(c.dim for c in res.components)),
-        },
+        "window": list(res.window) if res.window else None,
+        "components": [c.to_json() for c in res.components],
+        "table": graded_table_to_json(res.graded()),
+        "total": str(sum(c.dim for c in res.components)),
     }
 
 
 def _cmd_ext_map(args) -> dict:
-    sub = parse_ideal_spec(args.sub, args.n)
-    sup = parse_ideal_spec(args.super, args.n)
     window = _window_from_args(args)
-    res = ext_map_parts(sub.ideal, sup.ideal, args.cohdeg, args.m, args.n, window)
+    res = ext_map_parts(args.sub.ideal, args.super.ideal, args.cohdeg, args.m, args.n, window)
     parts = {}
     for name, part in (("kernel", res.kernel), ("image", res.image), ("cokernel", res.cokernel)):
         parts[name] = {
@@ -404,33 +389,14 @@ def _cmd_ext_map(args) -> dict:
             "components": [c.to_json() for c in part.components],
             "table": graded_table_to_json(part.graded()),
         }
-    return {
-        "request": {
-            "m": args.m,
-            "n": args.n,
-            "sub": sub.ideal.to_json(),
-            "super": sup.ideal.to_json(),
-            "cohdeg": args.cohdeg,
-            "window": list(res.window) if res.window else None,
-        },
-        "result": {"window": list(res.window) if res.window else None, **parts},
-    }
+    return {"window": list(res.window) if res.window else None, **parts}
 
 
 def _cmd_reg(args) -> dict:
-    parsed = parse_ideal_spec(args.ideal, args.n)
-    if parsed.ideal.is_zero:
-        raise ValueError("zero ideal: S has regularity 0, no factor labels")
-    rq = reg_quotient(parsed.ideal, args.m, args.n)
+    rq = reg_quotient(args.ideal.ideal, args.m, args.n)
     if args.emit_m2:
-        emit_m2(parsed, args.m, args.n, "reg", args.emit_m2)
-    return {
-        "request": {"m": args.m, "n": args.n, "ideal": parsed.ideal.to_json()},
-        "result": {
-            "reg_quotient": _reg_json(rq),
-            "reg_ideal": _reg_json(rq + 1),
-        },
-    }
+        emit_m2(args.ideal, args.m, args.n, "reg", args.emit_m2)
+    return {"reg_quotient": _reg_json(rq), "reg_ideal": _reg_json(rq + 1)}
 
 
 def _cmd_reg_powers(args) -> dict:
@@ -444,60 +410,30 @@ def _cmd_reg_powers(args) -> dict:
                 "per_level": {str(l): _reg_json(v) for l, v in sorted(per.items())},
             }
         )
-    return {
-        "request": {
-            "m": args.m,
-            "n": args.n,
-            "p": args.p,
-            "dmax": args.dmax,
-            "kind": args.kind,
-        },
-        "result": {"rows": rows},
-    }
+    return {"rows": rows}
 
 
 def _cmd_hilbert(args) -> dict:
-    parsed = parse_ideal_spec(args.ideal, args.n)
     table = {
-        r: quotient_graded_dim(parsed.ideal, r, args.m, args.n)
+        r: quotient_graded_dim(args.ideal.ideal, r, args.m, args.n)
         for r in range(args.rmax + 1)
     }
-    return {
-        "request": {"m": args.m, "n": args.n, "ideal": parsed.ideal.to_json(), "rmax": args.rmax},
-        "result": {"table": graded_table_to_json(table)},
-    }
+    return {"table": graded_table_to_json(table)}
 
 
 def _cmd_kodaira(args) -> dict:
-    parsed = parse_ideal_spec(args.ideal, args.n)
-    report = kodaira_check(parsed.ideal, args.m, args.n, args.jmax)
-    codim = None
-    if not parsed.ideal.is_zero and not parsed.ideal.is_unit:
-        p = radical_index(parsed.ideal)
-        if p >= 2:
-            codim = sing_codim(p, args.m, args.n)
-    doc = report.to_json()
-    doc["sing_codim"] = codim
-    return {
-        "request": {
-            "m": args.m,
-            "n": args.n,
-            "ideal": parsed.ideal.to_json(),
-            "jmax": args.jmax,
-        },
-        "result": doc,
-    }
+    report = kodaira_check(args.ideal.ideal, args.m, args.n, args.jmax)
+    # kodaira_check has refused the zero and unit ideals, so the radical index exists
+    p = radical_index(args.ideal.ideal)
+    return {**report.to_json(), "sing_codim": sing_codim(p, args.m, args.n) if p >= 2 else None}
 
 
 def _cmd_linear_res(args) -> dict:
     rows = []
     for d in range(1, args.dmax + 1):
-        reg, _ = reg_power_details(args.p, d, args.n, args.n, "power")
+        reg, _ = reg_power_details(args.p, d, args.m, args.n, "power")
         rows.append({"d": d, "reg": _reg_json(reg), "linear": reg == args.p * d})
-    return {
-        "request": {"m": args.m, "n": args.n, "p": args.p, "dmax": args.dmax},
-        "result": {"rows": rows},
-    }
+    return {"rows": rows}
 
 
 def _bblsz_key(z: Partition) -> tuple:
@@ -505,10 +441,13 @@ def _bblsz_key(z: Partition) -> tuple:
 
 
 def _cmd_bblsz(args) -> dict:
+    # the table is fixed to powers of 2x2 minors on 3x3 matrices; recording
+    # them on args puts them in the request
+    args.m, args.n, args.p = 3, 3, 2
     rows = []
     for d in range(1, args.dmax + 1):
         zs = sorted(
-            (pair.z for pair in zset_power(2, d, 3).pairs if pair.l == 0),
+            (pair.z for pair in zset_power(args.p, d, args.n).pairs if pair.l == 0),
             key=_bblsz_key,
         )
         groups: list[list[list[int]]] = []
@@ -517,10 +456,7 @@ def _cmd_bblsz(args) -> dict:
                 groups.append([])
             groups[-1].append(z.to_json())
         rows.append({"d": d, "z": [z.to_json() for z in zs], "groups": groups})
-    return {
-        "request": {"m": 3, "n": 3, "p": 2, "dmax": args.dmax},
-        "result": {"rows": rows},
-    }
+    return {"rows": rows}
 
 
 # ---------------------------------------------------------------- command table
@@ -548,7 +484,7 @@ class _Command(NamedTuple):
     help: str
     takes_mn: bool  # --m/--n, validated before compute runs
     flags: tuple[tuple[tuple[str, ...], dict], ...]
-    compute: Callable[[argparse.Namespace], dict]  # returns "request" and "result"
+    compute: Callable[[argparse.Namespace], dict]  # the result; ideal flags arrive parsed
     text: Callable[[dict, dict], str]
     latex: Callable[[dict, dict], str]
 
@@ -603,8 +539,14 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+_IDEAL_FLAGS = ("ideal", "sub", "super")
+# flags that shape the output only, and the window inputs, which the request
+# replaces by the window the result used
+_NOT_REQUESTED = frozenset({"command", "json", "latex", "emit_m2", "deg", "window"})
+
+
 def run(argv: Sequence[str]) -> str:
-    """Parse argv, compute, and return the rendered output."""
+    """Parse argv, compute, build the request, and return the rendered output."""
     args = _parser().parse_args(argv)
     cmd = _COMMANDS[args.command]
     if cmd.takes_mn:
@@ -620,11 +562,22 @@ def run(argv: Sequence[str]) -> str:
         raise ValueError(f"need --rmax >= 0, got {args.rmax}")
     if args.json and args.latex:
         raise ValueError("give at most one of --json and --latex")
-    doc = {"schema": SCHEMA, "command": args.command, **cmd.compute(args)}
+    for name in _IDEAL_FLAGS:
+        if hasattr(args, name):
+            setattr(args, name, parse_ideal_spec(getattr(args, name), args.n))
+    result = cmd.compute(args)
+    request = {
+        k: v.ideal.to_json() if k in _IDEAL_FLAGS else v
+        for k, v in vars(args).items()
+        if k not in _NOT_REQUESTED
+    }
+    if "window" in result:
+        request["window"] = result["window"]
     if args.json:
+        doc = {"schema": SCHEMA, "command": args.command, "request": request, "result": result}
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     render = cmd.latex if args.latex else cmd.text
-    return render(doc["request"], doc["result"])
+    return render(request, result)
 
 
 def _out_of_memory(argv: Sequence[str]) -> str:

@@ -82,20 +82,16 @@ class ExtResult:
         return dict(self.table)
 
 
-def _check_weak_hypothesis(z: Partition, l: int, n: int) -> None:
+def _check_label(z: Partition, l: int, m: int, n: int) -> None:
+    # the argument checks of index_tuples, minimal_weight and enumerate_weights
+    if not 1 <= n <= m:
+        raise ValueError(f"need 1 <= n <= m, got m={m}, n={n}")
     if z.nparts > n:
         raise ValueError(f"{z} has more than {n} parts")
     if not 0 <= l <= n:
         raise ValueError(f"need 0 <= l <= {n}, got l={l}")
     if any(z.part(i) != z.part(1) for i in range(2, l + 1)):
         raise ValueError(f"need z_1 = ... = z_{l} in {z}")
-
-
-def _check_label(z: Partition, l: int, m: int, n: int) -> None:
-    # the argument checks of index_tuples, minimal_weight and enumerate_weights
-    if not 1 <= n <= m:
-        raise ValueError(f"need 1 <= n <= m, got m={m}, n={n}")
-    _check_weak_hypothesis(z, l, n)
 
 
 def index_tuples(z: Partition, l: int, m: int, n: int) -> list[IndexTuple]:

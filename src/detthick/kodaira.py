@@ -25,7 +25,7 @@ class VanishingReport:
     n: int
     jmax: int
     ideal: IdealSpec
-    k_checked: tuple[int, int]
+    k_checked: tuple[int, ...]
     violations: tuple[ExtComponent, ...]
     mechanism_ok: bool
 

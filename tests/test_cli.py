@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from detthick import cli
 from detthick.cli import IdealSpecSyntaxError, main, parse_ideal_spec, run
 from detthick.ideals import power_gens, saturate, symbolic_gens
 from detthick.partitions import Partition
+from test_cli_golden import _RENDERED
 
 
 def run_json(argv):
@@ -63,18 +65,31 @@ def test_ext_command_worked_example():
     assert len(doc["result"]["components"]) == 5
 
 
-def test_ext_json_round_trip_is_byte_identical():
-    first = run(
-        ["ext", "--m", "3", "--n", "3", "--ideal", "power:2:7",
-         "--cohdeg", "9", "--json"]
-    )
-    doc = json.loads(first)
-    lo, hi = doc["request"]["window"]
-    second = run(
-        ["ext", "--m", "3", "--n", "3", "--ideal", "power:2:7",
-         "--cohdeg", "9", "--window", str(lo), str(hi), "--json"]
-    )
-    assert first == second
+def _replay_argv(command, request, flags):
+    """The argv that asks ``command`` for ``request`` again."""
+    argv = [command]
+    for dest, value in request.items():
+        if dest == "window":
+            if value is not None:
+                argv += ["--window", str(value[0]), str(value[1])]
+        elif dest in flags:  # bblsz-table's fixed m, n and p are not flags
+            if isinstance(value, dict):  # an ideal, by its normalized generators
+                value = "gens:" + ";".join(",".join(map(str, g)) for g in value["gens"])
+            argv += [flags[dest], str(value)]
+    return argv
+
+
+@pytest.mark.parametrize("argv", _RENDERED, ids=" ".join)
+def test_json_request_replays_byte_identical(argv):
+    # the request names every flag but the output-only ones and --deg, which
+    # it records as the window used; rerunning it gives the same document
+    [sub] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {a.dest: a.option_strings[0] for a in sub.choices[argv[0]]._actions}
+    first = run(argv + ["--json"])
+    request = json.loads(first)["request"]
+    assert set(flags) - {"help", "json", "latex", "emit_m2", "deg"} <= set(request)
+    replay = _replay_argv(argv[0], request, flags)
+    assert run(replay + ["--json"]) == first
 
 
 def test_ext_map_command():

@@ -19,7 +19,7 @@ from detthick import ext
 from detthick.ext import (
     ExtComponent,
     IndexTuple,
-    _check_weak_hypothesis,
+    _check_label,
     default_window,
     enumerate_weights,
     ext_graded,
@@ -126,7 +126,7 @@ def minimal_weight_reference(
         raise ValueError(f"need 1 <= n <= m, got m={m}, n={n}")
     if not 0 <= l <= n - 1:
         raise ValueError(f"need 0 <= l <= {n - 1}, got l={l}")
-    _check_weak_hypothesis(z, l, n)
+    _check_label(z, l, m, n)
     t = tuple(t)
     k = n - l
     if len(t) != k:
@@ -237,7 +237,7 @@ def enumerate_weights_reference(
         raise ValueError(f"need 1 <= n <= m, got m={m}, n={n}")
     if not 0 <= l <= n:
         raise ValueError(f"need 0 <= l <= {n}, got l={l}")
-    _check_weak_hypothesis(z, l, n)
+    _check_label(z, l, m, n)
     if lo > hi:
         raise ValueError(f"empty degree window [{lo}, {hi}]")
     t = tuple(t)
