@@ -304,13 +304,9 @@ _M2_KINDS = ("power", "symbolic", "satpower", "minors")
 def emit_m2(parsed: ParsedIdeal, m: int, n: int, what: str, path: str, **kw) -> None:
     """Write a Macaulay2 cross-check script for a named determinantal family.
 
-    Arbitrary gens ideals are rejected: their polynomial generators are out
-    of scope here.  The engine never runs the script.
+    ``run`` refuses other kinds than ``_M2_KINDS`` before computing: the polynomial
+    generators of a gens ideal are out of scope here.  The engine never runs the script.
     """
-    if parsed.kind not in _M2_KINDS:
-        raise ValueError(
-            "emit-m2 supports power/symbolic/satpower/minors ideals only"
-        )
     p, d = parsed.p, parsed.d
     lines = [
         "-- cross-check script, written by detthick; run with Macaulay2",
@@ -565,6 +561,8 @@ def run(argv: Sequence[str]) -> str:
     for name in _IDEAL_FLAGS:
         if hasattr(args, name):
             setattr(args, name, parse_ideal_spec(getattr(args, name), args.n))
+    if getattr(args, "emit_m2", None) and args.ideal.kind not in _M2_KINDS:
+        raise ValueError("emit-m2 supports power/symbolic/satpower/minors ideals only")
     result = cmd.compute(args)
     request = {
         k: v.ideal.to_json() if k in _IDEAL_FLAGS else v

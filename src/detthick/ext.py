@@ -4,26 +4,27 @@ Each factor label (z, l) contributes to Ext in the cohomological degrees
 cut out by chains 0 <= s <= t_1 <= ... <= t_{n-l} <= l; for one chain the
 contribution is a sum of irreducibles indexed by the dominant weights in
 an explicit box-like region.  Dimensions come from one Weyl-product kernel
-per chain (``schur.expanded_dims``) and the internal degree of a weight
-is its total size.
-Degree windows keep the enumeration finite: a single chain can contribute
-in infinitely many degrees.
+per chain (``schur._run_dims``) and the internal degree of a weight is its
+total size.  Degree windows keep the enumeration finite: a single chain
+can contribute in infinitely many degrees.
 
 Per weight, the work is split three ways.  The walk of a chain's region
-branches only on its free entries and emits the weights that share all
-but the last free entry in one loop, with the fixed tail appended.  The
-kernel pays the factors among the free columns and looks the rest up per
-column value.  The components are put in (degree, label, s, t, weight)
-order by grouping them by degree, since the labels, the chains and each
-chain's weights already come in that order.  Components and chains are
-named tuples, the cheapest immutable record to build: a component equals
-the plain tuple of its fields, and ``_replace`` stands in for
-``dataclasses.replace``.
+branches only on its free entries and hands the kernel runs: the weights
+that share all but the last free entry, as one head and a range of that
+entry.  The kernel takes the factors among the head's columns once per
+run, so a weight pays only its last free entry's factors, one lookup and
+one division, and it gets its degree as the head's total plus the tail's
+plus that entry.  The components come in (degree, label, s, t, weight)
+order by grouping on degree, since labels, chains and each chain's runs
+already come in that order.  Components and chains are named tuples, the
+cheapest immutable record to build: a component equals the plain tuple of
+its fields, and ``_replace`` stands in for ``dataclasses.replace``.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
@@ -31,7 +32,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .ideals import IdealSpec, subideal
 from .partitions import Partition
-from .schur import GradedTable, Weight, expanded_dims
+from .schur import GradedTable, Run, Weight, _run_dims
 from .zset import ZPair, zset_general
 
 
@@ -169,19 +170,20 @@ def _region(
     return _Region(tuple(fixed_at), w, tuple(cap_at), tuple(min_rest), tuple(caps_after), width)
 
 
-def _walk(region: _Region, lo: int, hi: int) -> list[Weight]:
-    # the weights of a region with lo <= total <= hi, sorted
+def _walk(region: _Region, lo: int, hi: int) -> list[Run]:
+    # the weights of a region with lo <= total <= hi as ascending runs (head, head total, bottom,
+    # top): head + (v,) + tail, bottom <= v <= top, v at the last free position (else the last one)
     fixed_at, lower, cap_at, min_rest, caps_after, width = region
     free = [j for j, v in enumerate(fixed_at) if v is None]
     if not free:
-        return [lower] if lo <= min_rest[0] <= hi else []
-    # past the last free entry every entry is fixed at its lower bound and cap
+        head, v = lower[:-1], lower[-1]
+        return [(head, min_rest[0] - v, v, v)] if lo <= min_rest[0] <= hi else []
     last = free[-1]
-    tail, tailsum = lower[last + 1 :], min_rest[last + 1]
-    out: list[Weight] = []
+    tailsum = min_rest[last + 1]
+    out: list[Run] = []
 
     # entries left to right: a fixed entry is taken in place, a free one branches
-    # from its cap down until the total can no longer reach lo; the weights come
+    # from its cap down until the total can no longer reach lo; the runs come
     # out in descending order
     def rec(j: int, prev: int, partial: int, acc: Weight) -> None:
         while True:
@@ -197,8 +199,9 @@ def _walk(region: _Region, lo: int, hi: int) -> list[Weight]:
             j, prev, partial, acc = j + 1, v, partial + v, acc + (v,)
         vmin = lower[j]
         if j == last:
-            for v in range(vmax, max(vmin, lo - partial - tailsum) - 1, -1):
-                out.append(acc + (v,) + tail)
+            bottom = max(vmin, lo - partial - tailsum)
+            if bottom <= vmax:
+                out.append((acc, partial, bottom, vmax))
             return
         caps, wj = caps_after[j], width[j]
         for v in range(vmax, vmin - 1, -1):
@@ -245,7 +248,8 @@ def enumerate_weights(
     if lo > hi:
         raise ValueError(f"empty degree window [{lo}, {hi}]")
     region = _region(z, l, tuple(t), s, m, n)
-    return [] if region is None else _walk(region, lo, hi)
+    runs = [] if region is None else _walk(region, lo, hi)
+    return [h + (v,) + region.fixed_at[len(h) + 1 :] for h, _, b, e in runs for v in range(b, e + 1)]
 
 
 _CHAIN_CACHE_SIZE = 4096
@@ -289,25 +293,28 @@ def _components_for_pairs(
     window: tuple[int, int],
 ) -> tuple[tuple[ExtComponent, ...], tuple[tuple[int, int], ...]]:
     # the components in (degree, pair, s, t, lam) order and their graded table;
-    # pairs come in sort_key order, chains in (s, t) order and each chain's weights
+    # pairs come in sort_key order, chains in (s, t) order and each chain's runs
     # ascending, so grouping by degree is the whole sort
     lo, hi = window
     if lo > hi:
         raise ValueError(f"empty degree window [{lo}, {hi}]")
-    by_degree: dict[int, list[ExtComponent]] = {}
+    by_degree: defaultdict[int, list[ExtComponent]] = defaultdict(list)
     for pair in pairs:
         z, l = pair.z, pair.l
         zl = z.part(max(l, 1))  # z_0 reads as z_1
         for tup, region in _chains_by_j(pair, m, n).get(j, ()):
-            weights = _walk(region, lo, hi)
+            s, t = tup.s, tup.t
+            runs = _walk(region, lo, hi)
+            # when z_{l+1} = z_l every weight ends in l - z_l - m: the varying
+            # entry of a run when it is the last, else the fixed last entry
             if z.part(l + 1) == zl:
-                for lam in weights:
-                    if lam[n - 1] != l - zl - m:
-                        raise RuntimeError(f"weight {lam} of {pair}, {tup} should end in {l - zl - m}")
-            for lam, (lam_exp, dim) in zip(weights, expanded_dims(weights, tup.s, m, n)):
-                degree = sum(lam)
-                comp = ExtComponent(pair, tup.s, tup.t, lam, lam_exp, degree, dim)
-                by_degree.setdefault(degree, []).append(comp)
+                end = l - zl - m
+                for head, _, bottom, top in runs:
+                    ends = (bottom, top) if len(head) == n - 1 else (region.fixed_at[-1],) * 2
+                    if ends != (end, end):
+                        raise RuntimeError(f"weights of {pair}, {tup} should end in {end}")
+            for lam, lam_exp, degree, dim in _run_dims(runs, region.fixed_at, s, m, n):
+                by_degree[degree].append(ExtComponent(pair, s, t, lam, lam_exp, degree, dim))
     degrees = sorted(by_degree)
     comps = tuple([c for e in degrees for c in by_degree[e]])
     table = tuple([(e, sum([c.dim for c in by_degree[e]])) for e in degrees])

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb, factorial, prod
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .ideals import IdealSpec
 from .partitions import Partition
@@ -17,6 +17,7 @@ from .zset import zset_general
 
 Weight = tuple[int, ...]
 GradedTable = dict[int, int]
+Run = tuple[Weight, int, int, int]  # head, head total, bottom, top: see _run_dims
 
 WeightLike = Union[Partition, Sequence[int]]
 
@@ -83,88 +84,108 @@ def _superfactorial(k: int) -> int:
 def expanded_dims(weights: Sequence[Weight], s: int, m: int, n: int) -> list[tuple[Weight, int]]:
     """Each GL_n weight's expansion at s with dim_m(expansion) * dim_n(weight).
 
-    One kernel for a batch of weights, in place of weight_expand followed by
-    two schur_dim calls per weight.  With l_i = lam_i - i, the expansion
-    keeps every l_i and inserts the block -n, ..., -m+1 at position s, so
-
-        dim_m(expanded) * dim_n(lam) = V(l)^2 * prod_{i<s, n<=q<m} (l_i + q)
-            * prod_{i>=s, n<=q<m} (-q - l_i) * sf(m-n) / (sf(m) sf(n))
-
-    with V the product over i < j of l_i - l_j and sf(k) the product over
-    0 <= i < j < k of j - i.  Factors among columns on which all weights
-    agree (the fixed entries of an Ext chain) are multiplied once per call.
-    A free column's factors against the fixed columns and the block depend
-    only on its value; they are multiplied, and checked for dominance, the
-    first time the call meets that value, and looked up after that.  Each
-    weight then pays only the factors among its free columns, the bounds
-    of weight_expand and the divisibility of its product.
-    A weight that is not dominant, breaks the bounds of weight_expand or
-    gives a Weyl product that does not divide raises RuntimeError.
+    The Ext kernel ``_run_dims`` with every entry free and each weight a run of its own: a
+    weight that is not dominant, breaks the bounds of weight_expand or whose Weyl product does
+    not divide raises RuntimeError.
     """
     if not 0 <= s <= n <= m:
         raise ValueError(f"need 0 <= s <= n <= m, got s={s}, n={n}, m={m}")
     if any([len(lam) != n for lam in weights]):
         raise ValueError(f"every weight needs {n} entries")
-    if not weights:
+    if not n:  # GL_0 has the empty weight alone, of dimension 1
+        return [((0,) * m, 1) for _ in weights]
+    runs = [(lam[:-1], sum(lam) - lam[-1], lam[-1], lam[-1]) for lam in weights]
+    return [(big, dim) for _, big, _, dim in _run_dims(runs, (None,) * n, s, m, n)]
+
+
+def _run_dims(
+    runs: Sequence[Run], fixed_at: Sequence[Optional[int]], s: int, m: int, n: int
+) -> list[tuple[Weight, Weight, int, int]]:
+    """Each weight of the runs, its expansion at s, its total and dim_m(expansion) * dim_n(weight).
+
+    A run (head, head_total, bottom, top) holds head + (v,) + fixed_at[len(head) + 1:] for
+    bottom <= v <= top; all heads have one length and agree where fixed_at is not None.
+    With l_i = lam_i - i the expansion keeps every l_i and inserts -n, ..., -m+1 at s: the
+    product is V(l)^2 prod_{i<s, n<=q<m} (l_i + q) prod_{i>=s, n<=q<m} (-q - l_i) sf(m-n) /
+    (sf(m) sf(n)), V = prod_{i<j} (l_i - l_j), sf(k) = prod_{0<=i<j<k} (j - i).  Factors among
+    fixed columns come once per call, a free or varying column's against them and the block once
+    per value met, those among a head's free columns once per run.  Every weight is checked for
+    dominance, the bounds of weight_expand and the division (RuntimeError).
+    """
+    if not runs:
         return []
-    d = m - n
+    d, last = m - n, len(runs[0][0])
     den = _superfactorial(m) * _superfactorial(n)
-    pad = (s - n,) * d
-    # l_a - l_b = lam_a - lam_b + b - a; the factors among columns on which
-    # all weights agree, and their signs, are taken once
-    first = weights[0]
-    free = [i for i, col in enumerate(zip(*weights)) if col.count(col[0]) != len(col)]
-    fixed = [i for i in range(n) if i not in free]
+    tail = tuple(fixed_at[last + 1 :])
+    first = runs[0][0] + (runs[0][2],) + tail
+    fixed = [i for i, x in enumerate(fixed_at) if x is not None and i != last]
+    free = [i for i in range(last) if fixed_at[i] is None]
     fixed_pairs = [first[a] - first[b] + b - a for a, b in combinations(fixed, 2)]
     if fixed_pairs and min(fixed_pairs) <= 0:
         raise RuntimeError(f"weight {first} is not dominant")
     const = _superfactorial(d) * prod(fixed_pairs) ** 2
-    const *= prod([g * first[i] + c for i, g, c in _block_factors(fixed, s, m, n)])
-    pairs = [(a, b, b - a) for a, b in combinations(free, 2)]
-    # a free column's factors g * lam_i + c against the fixed columns (squared,
-    # as in V^2) and against the block depend only on its value: a memo each
-    columns = [
-        (
-            i,
-            {},
-            [(1, f - i - first[f]) if i < f else (-1, first[f] + i - f) for f in fixed],
-            [(g, c) for _, g, c in _block_factors([i], s, m, n)],
-        )
-        for i in free
+    # against the block the expansion inserts: l_i + q before it (i < s), -q - l_i after, n <= q < m
+    const *= prod([first[i] - i + q if i < s else i - q - first[i] for i in fixed for q in range(n, m)])
+    # each free column, then the varying one: a memo by value and the factors
+    # g * x + c against the fixed columns and against the block
+    *cols, vcol = [
+        (i, {}, [(1, f - i - first[f]) if i < f else (-1, first[f] + i - f) for f in fixed],
+         [(1, q - i) if i < s else (-1, i - q) for q in range(n, m)]) for i in (*free, last)
     ]
 
-    out = []
-    for lam in weights:
-        if s >= 1 and lam[s - 1] < s - n:
+    def weigh(col: tuple, x: int, lam: Weight) -> int:
+        # a column's product at a value x the call has not met, checked on lam, a
+        # weight with x in that column; the bounds of weight_expand are read on all
+        # of lam, so the call's first miss covers the fixed columns' bounds too
+        _, memo, against, block = col
+        fx = [g * x + c for g, c in against]
+        if fx and min(fx) <= 0:
+            raise RuntimeError(f"weight {lam} is not dominant")
+        if s and lam[s - 1] < s - n:
             raise RuntimeError(f"entry {s} of {lam} is below {s - n}; expansion not dominant")
         if s < n and lam[s] > s - m:
             raise RuntimeError(f"entry {s + 1} of {lam} is above {s - m}; expansion not dominant")
-        f = [lam[a] - lam[b] + c for a, b, c in pairs]
-        if f and min(f) <= 0:
-            raise RuntimeError(f"weight {lam} is not dominant")
-        v = prod(f)
-        num = const * v * v
-        for i, memo, against, block in columns:
-            x = lam[i]
-            w = memo.get(x)
-            if w is None:
-                fx = [g * x + c for g, c in against]
-                if fx and min(fx) <= 0:
-                    raise RuntimeError(f"weight {lam} is not dominant")
-                w = memo[x] = prod(fx) ** 2 * prod([g * x + c for g, c in block])
-            num *= w
-        if num % den:
-            raise RuntimeError(f"Weyl product for {lam} expanded at s={s} to GL_{m} is not an integer")
-        expanded = (*lam[:s], *pad, *[e + d for e in lam[s:]]) if d else lam
-        out.append((expanded, num // den))
+        w = memo[x] = prod(fx) ** 2 * prod([g * x + c for g, c in block])
+        return w
+
+    vmemo = vcol[1]
+    pairs = [(a, b, b - a) for a, b in combinations(free, 2)]
+    offsets = [(i, last - i) for i in free]  # v against head column i: head[i] + last - i - v
+    pad = (s - n,) * d
+    if s <= last:  # the block goes into the head, before v
+        dv, etail = d, tuple([e + d for e in tail])
+    else:
+        dv, etail = 0, (*tail[: s - last - 1], *pad, *[e + d for e in tail[s - last - 1 :]])
+    tail_total = sum(tail)
+    out = []
+    for head, head_total, bottom, top in runs:
+        fh = [head[a] - head[b] + c for a, b, c in pairs]
+        if fh and min(fh) <= 0:
+            raise RuntimeError(f"weight {head + (bottom,) + tail} is not dominant")
+        p = prod(fh)
+        num = const * p * p
+        for col in cols:  # a product of 0 is recomputed, so `or` is exact
+            num *= col[1].get(head[col[0]]) or weigh(col, head[col[0]], head + (bottom,) + tail)
+        cs = [head[i] + c for i, c in offsets]
+        # v against the entry before it: with the head dominant, against all of it
+        vmax = head[-1] if head else top
+        ehead = (*head[:s], *pad, *[e + d for e in head[s:]]) if d and s <= last else head
+        base = head_total + tail_total
+        for v in range(bottom, top + 1):
+            lam = head + (v,) + tail
+            if v > vmax:
+                raise RuntimeError(f"weight {lam} is not dominant")
+            w = vmemo.get(v) or weigh(vcol, v, lam)
+            g = 1
+            for c in cs:
+                g *= c - v
+            q, r = divmod(num * g * g * w, den)
+            if r:
+                raise RuntimeError(
+                    f"Weyl product for {lam} expanded at s={s} to GL_{m} is not an integer"
+                )
+            out.append((lam, ehead + (v + dv,) + etail if d else lam, base + v, q))
     return out
-
-
-def _block_factors(at: Sequence[int], s: int, m: int, n: int) -> list[tuple[int, int, int]]:
-    # the factors g * lam_i + c of the entries at the given positions against
-    # the block the expansion inserts: l_i + q before it (i < s) and -q - l_i
-    # after it, for n <= q < m
-    return [((i, 1, q - i) if i < s else (i, -1, i - q)) for i in at for q in range(n, m)]
 
 
 def j_graded_dim(z: Partition, l: int, r: int, m: int, n: int) -> int:
@@ -179,28 +200,27 @@ def j_graded_dim(z: Partition, l: int, r: int, m: int, n: int) -> int:
         raise ValueError(f"need 0 <= l <= {n}, got l={l}")
     if r < 0:
         return 0
-    return sum(dim for _, dim in expanded_dims(_factor_partitions(z, l, r, n), n, m, n))
+    zs = z.parts + (0,) * (n - z.nparts)
+    if not l:  # the factor is z alone, in degree |z|
+        return expanded_dims([zs], n, m, n)[0][1] if z.size == r else 0
+    return sum([dim for *_, dim in _run_dims(_factor_runs(zs, l, r), (None,) * l + zs[l:], n, m, n)])
 
 
-def _factor_partitions(z: Partition, l: int, r: int, n: int) -> list[Weight]:
-    # partitions x with x >= z, x_i = z_i for i > l and |x| = r, as n-tuples
-    tail = [z.part(i) for i in range(l + 1, n + 1)]
-    budget = r - sum(tail)
-    out: list[Weight] = []
+def _factor_runs(zs: Weight, l: int, r: int) -> list[Run]:
+    # the partitions x >= zs with x_i = zs_i for i >= l (0-based) and |x| = r, each a
+    # run of one weight: the head x_0 ... x_{l-2}, then x_{l-1}, which |x| = r fixes
+    budget = r - sum(zs[l:])
+    out: list[Run] = []
 
-    def rec(i: int, prev: int, left: int, acc: list[int]) -> None:
-        if i > l:
-            if left == 0:
-                out.append(tuple(acc + tail))
+    def rec(i: int, prev: int, left: int, acc: Weight) -> None:
+        if i == l - 1:
+            if zs[i] <= left <= prev:
+                out.append((acc, budget - left, left, left))
             return
-        floor = z.part(i)
-        rest_min = sum(z.part(j) for j in range(i + 1, l + 1))
-        hi = min(prev, left - rest_min)
-        for v in range(floor, hi + 1):
-            rec(i + 1, v, left - v, acc + [v])
+        for v in range(zs[i], min(prev, left - sum(zs[i + 1 : l])) + 1):
+            rec(i + 1, v, left - v, acc + (v,))
 
-    if budget >= 0:
-        rec(1, budget + z.part(1), budget, [])
+    rec(0, budget + zs[0], budget, ())  # with budget < 0 nothing fits
     return out
 
 

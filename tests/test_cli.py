@@ -172,12 +172,17 @@ def test_emit_m2(tmp_path):
     assert "regularity" in body
 
 
-def test_emit_m2_rejects_raw_gens(tmp_path):
-    with pytest.raises(ValueError):
-        run(
-            ["reg", "--n", "3", "--ideal", "gens:2,2", "--emit-m2",
-             str(tmp_path / "x.m2")]
-        )
+def test_emit_m2_rejects_raw_gens(tmp_path, monkeypatch):
+    def compute(*args):
+        raise AssertionError("computed before the ideal kind was checked")
+
+    monkeypatch.setattr(cli, "reg_quotient", compute)
+    monkeypatch.setattr(cli, "ext_graded", compute)
+    path = tmp_path / "x.m2"
+    for argv in (["reg"], ["ext", "--cohdeg", "4"]):
+        with pytest.raises(ValueError, match="emit-m2 supports"):
+            run(argv + ["--n", "3", "--ideal", "gens:2,2", "--emit-m2", str(path)])
+    assert not path.exists()
 
 
 def test_main_exit_codes(capsys):

@@ -351,13 +351,18 @@ def test_enumerate_weights_matches_reference(args):
 @given(chain_windows())
 @example((Partition([2, 2, 1, 1]), 2, (2, 2), 2, 4, 4, -10, -4))
 def test_walk_is_strictly_ascending(args):
-    # the walk emits its weights in descending order and reverses them, which
-    # sorts them only if every emitted weight is strictly below the one before
+    # the walk emits its runs in descending order and reverses them, which
+    # sorts their weights only if every run's weights lie strictly below the
+    # next run's; each run is nonempty and carries its head's total
     z, l, t, s, m, n, lo, hi = args
     region = ext._region(z, l, t, s, m, n)
     if region is None:
         return
-    weights = ext._walk(region, lo, hi)
+    runs = ext._walk(region, lo, hi)
+    weights = []
+    for head, head_total, bottom, top in runs:
+        assert len(head) == len(runs[0][0]) and head_total == sum(head) and bottom <= top
+        weights += [head + (v,) + region.fixed_at[len(head) + 1 :] for v in range(bottom, top + 1)]
     assert all(a < b for a, b in zip(weights, weights[1:]))
 
 
@@ -609,11 +614,17 @@ def test_wide_window_costs_what_its_weights_cost():
 
 def test_last_entry_check_raises(monkeypatch):
     # when z_{l+1} = z_l every weight must end in l - z_l - m; a walk that
-    # lowers the last entry breaks that
+    # lowers the last entry where it emits it, as the varying entry of a run,
+    # breaks that.  At j = 9 the labels with l = 0 have chains that fix every
+    # entry, whose one run varies the last entry
     walk = ext._walk
-    monkeypatch.setattr(ext, "_walk", lambda *a: [w[:-1] + (w[-1] - 1,) for w in walk(*a)])
+    monkeypatch.setattr(
+        ext,
+        "_walk",
+        lambda *a: [(h, ht, b - 1, e - 1) if len(h) == 2 else (h, ht, b, e) for h, ht, b, e in walk(*a)],
+    )
     with pytest.raises(RuntimeError, match="should end in"):
-        ext_graded(power_gens(2, 7, 3), 4, 3, 3)
+        ext_graded(power_gens(2, 7, 3), 9, 3, 3)
 
 
 def test_ext_json_dims_are_strings():

@@ -1,9 +1,9 @@
 """The correctness checks hold under ``python -O``, which strips every ``assert``.
 
 One ``python -O`` subprocess computes the worked 3 x 3 Ext slice, runs the
-Weyl-product kernel on weights that break each of its checks, feeds the Ext
-components a walk whose weights break the last-entry check, and prints what
-it saw as one JSON line.
+Weyl-product kernel on weights and runs that break each of its checks, feeds
+the Ext components a run walker whose weights break the last-entry check,
+and prints what it saw as one JSON line.
 """
 
 import json
@@ -36,15 +36,24 @@ out = {
     "dominance": raises(schur.expanded_dims, [(-2, -4, -3)], 1, 4, 3),
     "expansion_below": raises(schur.expanded_dims, [(-4, -5, -6)], 1, 4, 3),
     "expansion_above": raises(schur.expanded_dims, [(0, 0, -6)], 1, 4, 3),
-    # only the free middle column against the fixed first breaks dominance,
-    # at a value met after the memo has served 3 once
+    # runs of (5, v, 0) with the first and last columns fixed: only the
+    # varying middle column against the fixed last breaks dominance, at a
+    # value met after the memo has served 3 once
     "dominance_free_fixed": raises(
-        schur.expanded_dims, [(5, 3, 0), (5, 2, 0), (5, 3, 0), (5, 6, 0)], 3, 3, 3
+        schur._run_dims, [((5,), 5, 2, 3), ((5,), 5, 3, 3), ((5,), 5, -1, -1)], (5, None, 0), 3, 3, 3
+    ),
+    # one run (5, 3, v), v = 3, 4: the second weight breaks dominance against the head
+    "dominance_last_head": raises(schur._run_dims, [((5, 3), 8, 3, 4)], (None,) * 3, 3, 3, 3),
+    # at s = 3 the varying last entry must be >= 0; the second run's is not
+    "expansion_varying": raises(
+        schur._run_dims, [((5, 3), 8, 0, 1), ((5, 3), 8, -1, -1)], (None,) * 3, 3, 3, 3
     ),
 }
+# a run walker that lowers the last entry of every weight where it emits it;
+# at j = 9 the chains with l = 0 vary the last entry
 walk = ext._walk
-ext._walk = lambda *a: [w[:-1] + (w[-1] - 1,) for w in walk(*a)]
-out["last_entry"] = raises(ext_graded, power_gens(2, 7, 3), 4, 3, 3)
+ext._walk = lambda *a: [(h, ht, b - 1, e - 1) if len(h) == 2 else (h, ht, b, e) for h, ht, b, e in walk(*a)]
+out["last_entry"] = raises(ext_graded, power_gens(2, 7, 3), 9, 3, 3)
 ext._walk = walk
 schur._superfactorial = lambda k: 7**k  # 7**6 does not divide the product 4 of (0, 0, 0)
 out["divisibility"] = raises(schur.expanded_dims, [(0, 0, 0)], 3, 3, 3)
@@ -66,5 +75,6 @@ def test_checks_and_worked_slice_under_optimize():
     assert got["slice"] == {"5,5,3": 36, "5,4,4": 9, "6,6,1": 441, "6,5,2": 576, "6,4,3": 225}
     assert got["table"] == [[-22, 1287]]
     assert got["dominance"] and got["expansion_below"] and got["expansion_above"]
-    assert got["dominance_free_fixed"] and got["last_entry"]
+    assert got["dominance_free_fixed"] and got["dominance_last_head"]
+    assert got["expansion_varying"] and got["last_entry"]
     assert got["divisibility"]

@@ -5,7 +5,7 @@ from math import comb
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from detthick import cli, ideals, schur
+from detthick import cli, ext, ideals, schur
 from detthick.ext import enumerate_weights, index_tuples, minimal_weight
 from detthick.ideals import IdealSpec, member, normalize, power_gens, succ_gens
 from detthick.partitions import Partition, enumerate_partitions, leq
@@ -145,17 +145,115 @@ def test_expanded_dims_rejects_non_dominant_weights():
     # the same, in a free column of a batch whose first column is fixed
     with pytest.raises(RuntimeError, match="not dominant"):
         expanded_dims([(-2, -3, -5), (-2, -4, -3)], 1, 4, 3)
-
-
-def test_expanded_dims_checks_each_new_value_of_a_free_column():
-    # the middle column is free and the others fixed; 3 is met twice, and 6
-    # breaks dominance only against the fixed first column (5 - 6 + 1 = 0)
-    weights = [(5, 3, 0), (5, 2, 0), (5, 3, 0)]
-    assert [dim for _, dim in expanded_dims(weights, 3, 3, 3)] == [
-        schur_dim(lam, 3) ** 2 for lam in weights
-    ]
+    # the head of the second weight's run breaks it (5 - 6 + 1 = 0)
     with pytest.raises(RuntimeError, match="not dominant"):
-        expanded_dims(weights + [(5, 6, 0)], 3, 3, 3)
+        expanded_dims([(5, 3, 0), (5, 6, 0)], 3, 3, 3)
+
+
+def test_run_kernel_checks_each_new_value_of_a_free_column():
+    # runs (5, v, 0) with the middle column varying and the others fixed; 3 is
+    # met twice, and -1 breaks dominance only against the fixed last column
+    # (-1 - 0 + 1 = 0), which only the column's memo checks
+    runs = [((5,), 5, 3, 3), ((5,), 5, 2, 3)]
+    got = schur._run_dims(runs, (5, None, 0), 3, 3, 3)
+    assert [lam for lam, _, _, _ in got] == [(5, 3, 0), (5, 2, 0), (5, 3, 0)]
+    assert [dim for *_, dim in got] == [schur_dim(lam, 3) ** 2 for lam, _, _, _ in got]
+    with pytest.raises(RuntimeError, match="not dominant"):
+        schur._run_dims(runs + [((5,), 5, -1, -1)], (5, None, 0), 3, 3, 3)
+
+
+def test_run_kernel_checks_every_weight_of_a_run():
+    # a weight met after valid ones breaks a check that reads the varying entry:
+    # dominance against the head (a run's second weight), the bound of
+    # weight_expand at s = 3, entry 3 >= 0 (the second run's first weight), and
+    # at s = 2 with m = 4, entry 3 <= -2 (a run's second weight)
+    with pytest.raises(RuntimeError, match="not dominant"):
+        schur._run_dims([((5, 3), 8, 3, 4)], (None,) * 3, 3, 3, 3)
+    with pytest.raises(RuntimeError, match="below"):
+        schur._run_dims([((5, 3), 8, 0, 1), ((5, 3), 8, -1, 0)], (None,) * 3, 3, 3, 3)
+    with pytest.raises(RuntimeError, match="above"):
+        schur._run_dims([((0, -1), -1, -2, -1)], (None,) * 3, 2, 4, 3)
+    assert schur._run_dims([], (None,) * 3, 2, 4, 3) == []
+
+
+def test_run_kernel_checks_the_fixed_columns():
+    # every weight shares the fixed columns, so they are checked once per call:
+    # for dominance (3 - 5 + 1 < 0) and for each bound of weight_expand
+    with pytest.raises(RuntimeError, match="not dominant"):
+        schur._run_dims([((), 0, 7, 7)], (None, 3, 5), 3, 3, 3)
+    with pytest.raises(RuntimeError, match="below"):
+        schur._run_dims([((), 0, 9, 9)], (None, 3, -1), 3, 3, 3)
+    with pytest.raises(RuntimeError, match="above"):
+        schur._run_dims([((), 0, 0, 0)], (None, -1, -4), 1, 4, 3)
+
+
+def run_kernel_shapes(n, d, l, zvals, width):
+    """Check the run kernel against weight_expand and two schur_dim calls on
+    every weight of every run it gets for a label (z, l): the runs of each
+    feasible chain, in a window of the given width from the chain's least
+    degree, and the runs of the factor's Hilbert function in as many degrees.
+    Return the shapes met: s before, at, just after or past the varying
+    column (-1, 0, 1, 2), m - n, runs of two or more weights, chains with no
+    free column."""
+    l = min(l, n - 1)
+    vals = sorted(zvals[:n], reverse=True)
+    vals[:l] = [vals[0]] * l
+    z, m = Partition(vals), n + d
+    met = set()
+
+    def check(runs, fixed_at, s):
+        got = schur._run_dims(runs, fixed_at, s, m, n)
+        if not runs:
+            return
+        tail = fixed_at[len(runs[0][0]) + 1 :]
+        assert [lam for lam, _, _, _ in got] == [
+            head + (v,) + tail for head, _, bottom, top in runs for v in range(bottom, top + 1)
+        ]
+        for lam, expanded, total, dim in got:
+            oracle = weight_expand(lam, s, m, n)
+            assert expanded == oracle and total == sum(lam)
+            assert dim == schur_dim(oracle, m) * schur_dim(lam, n)
+        met.update({("s", max(-1, min(s - len(runs[0][0]), 2))), ("d", d)})
+        if any(bottom < top for _, _, bottom, top in runs):
+            met.add("long run")
+
+    for tup in index_tuples(z, l, m, n):
+        region = ext._region(z, l, tup.t, tup.s, m, n)
+        if region is not None:
+            lo = sum(region.lower)
+            check(ext._walk(region, lo, lo + width), region.fixed_at, tup.s)
+            if None not in region.fixed_at:
+                met.add("no free column")
+    zs = tuple(vals)
+    for r in range(z.size, z.size + width + 1) if l else ():
+        check(schur._factor_runs(zs, l, r), (None,) * l + zs[l:], n)
+    return met
+
+
+RUN_KERNEL_CASES = [
+    (4, 0, 2, [2, 2, 1, 1, 0], 6),
+    (4, 2, 3, [2, 2, 2, 1, 0], 6),
+    (5, 3, 2, [3, 3, 1, 0, 0], 4),
+    (3, 2, 0, [3, 2, 1, 0, 0], 2),
+]
+
+
+def test_run_kernel_cases_cover_every_shape():
+    met = set().union(*[run_kernel_shapes(*case) for case in RUN_KERNEL_CASES])
+    shapes = {("s", k) for k in (-1, 0, 1, 2)} | {"long run", "no free column"}
+    assert shapes <= met and {("d", 0), ("d", 2), ("d", 3)} <= met
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=5),
+    d=st.integers(min_value=0, max_value=3),
+    l=st.integers(min_value=0, max_value=4),
+    zvals=st.lists(st.integers(0, 4), min_size=5, max_size=5),
+    width=st.integers(min_value=0, max_value=6),
+)
+def test_run_kernel_matches_two_weyl_products(n, d, l, zvals, width):
+    run_kernel_shapes(n, d, l, zvals, width)
 
 
 def test_expanded_dims_rejects_weights_that_do_not_expand():
