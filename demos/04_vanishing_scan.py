@@ -2,10 +2,11 @@
 
 For a thickening cut out by an invariant ideal with radical the p x p
 minors (p >= 2), the negative twists of the structure sheaf have no
-cohomology below the singular codimension.  The scan reformulates each
-cohomology group as a graded Ext component and confirms that the degree
-range above -m*n is empty, together with the structural reason: every
-feasible chain in that range starts at s = 0.
+cohomology below the singular codimension.  Each cohomology group is a
+graded Ext component, and the check certifies that Ext has nothing above
+degree -m*n from the chain caps alone: every feasible chain in the scanned
+range starts at s = 0, and such a chain caps every weight entry at -m.  The
+certificate covers every positive twist, not only the jmax named here.
 """
 
 from detthick import kodaira_check, power_gens, sing_codim, symbolic_gens

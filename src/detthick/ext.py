@@ -210,6 +210,7 @@ def _walk(region: _Region, lo: int, hi: int) -> list[Run]:
             rec(j + 1, v, partial + v, acc + (v,))
 
     rec(0, hi - min_rest[1], 0, ())
+    del rec  # the closure holds its own cell: break the cycle
     out.reverse()
     return out
 

@@ -4,15 +4,15 @@ For a proper nonzero invariant ideal the cohomology of twists of the
 structure sheaf in the smooth range is read off Ext modules: vanishing in
 positive twists for cohomological indices k below the singular codimension
 minus one amounts to every relevant Ext being zero in degrees above -mn.
-The check is finite because the mechanism is structural: in that range
-only s = 0 chains occur, and their weights all have total at most -mn.
+``kodaira_check`` reads this off the memoised chain table, walking no weight:
+in that range of j only s = 0 chains occur, whose caps bound every total by -mn.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ext import ExtComponent, _components_for_pairs, index_tuples
+from .ext import ExtComponent, _chains_by_j
 from .ideals import IdealSpec
 from .zset import zset_general
 
@@ -57,13 +57,18 @@ def sing_codim(p: int, m: int, n: int) -> int:
 
 
 def kodaira_check(X: IdealSpec, m: int, n: int, jmax: int = 15) -> VanishingReport:
-    """Scan twists 1..jmax at every k < m + n - 2 and report violations.
+    """Certify that Ext^(mn - 1 - k) of S/I_X is zero above degree -mn for every k < m + n - 2.
 
-    A violation is an Ext component of S/I_X at cohomological index
-    m n - 1 - k in an internal degree above -m n.  Also reports the
-    structural mechanism in ``mechanism_ok``: every chain whose cohomological
-    degree falls in the scanned range has s = 0, which forces all its
-    weights to total at most -m n regardless of the window.
+    A component there would be a violation: cohomology in a positive twist.
+    The report names the twists 1..jmax, but the certificate covers them all.
+    Two inequalities decide it from the chain table, with no weight walked:
+
+    - a chain with s >= 1 has every t_i >= 1, so its j = mn - l^2 - s(m - n)
+      - 2 sum(t) <= mn - m - n - l^2 + 2l <= mn - m - n + 1, below the least
+      scanned j; so every chain in range has s = 0 (``mechanism_ok``);
+    - an s = 0 region caps every entry at -m, so its weights total at most -mn.
+
+    A feasible chain in range that breaks either raises RuntimeError.
     """
     if not 2 <= n <= m:
         raise ValueError(f"need 2 <= n <= m, got m={m}, n={n}")
@@ -71,21 +76,12 @@ def kodaira_check(X: IdealSpec, m: int, n: int, jmax: int = 15) -> VanishingRepo
         raise ValueError(f"ideal lives in P_{X.n}, not P_{n}")
     if jmax < 1:
         raise ValueError(f"need jmax >= 1, got {jmax}")
-    pairs = zset_general(X).sorted_pairs()
     mn = m * n
-    window = (-mn + 1, -mn + jmax)
-
     j_low = mn - m - n + 2  # j at k = m + n - 3, the deepest scanned index
-    mechanism_ok = not any(
-        tup.s != 0 and j_low <= tup.j <= mn - 1
-        for pair in pairs
-        for tup in index_tuples(pair.z, pair.l, m, n)
-    )
-
-    violations: list[ExtComponent] = []
-    for k in range(m + n - 2):
-        j = mn - 1 - k
-        violations.extend(_components_for_pairs(pairs, j, m, n, window)[0])
-    return VanishingReport(
-        m, n, jmax, X, tuple(range(m + n - 2)), tuple(violations), mechanism_ok
-    )
+    for pair in zset_general(X).sorted_pairs():
+        table = _chains_by_j(pair, m, n)
+        for j in range(j_low, mn):
+            for tup, region in table.get(j, ()):
+                if tup.s or not all(c is not None and c <= -m for c in region.cap_at):
+                    raise RuntimeError(f"chain {tup} of {pair} reaches above degree {-mn}")
+    return VanishingReport(m, n, jmax, X, tuple(range(m + n - 2)), (), True)

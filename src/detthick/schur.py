@@ -221,6 +221,7 @@ def _factor_runs(zs: Weight, l: int, r: int) -> list[Run]:
             rec(i + 1, v, left - v, acc + (v,))
 
     rec(0, budget + zs[0], budget, ())  # with budget < 0 nothing fits
+    del rec  # the closure holds its own cell: break the cycle
     return out
 
 

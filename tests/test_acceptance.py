@@ -14,7 +14,6 @@ from contextlib import contextmanager
 
 from detthick.ext import ext_graded, ext_map_parts, index_tuples, minimal_weight
 from detthick.ideals import (
-    IdealSpec,
     intersect,
     member,
     normalize,

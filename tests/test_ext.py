@@ -7,6 +7,7 @@ either produced by an in-test brute force or cross-checked against the graded
 dimensions of the quotient.
 """
 
+import gc
 import pickle
 import time
 from math import comb
@@ -15,7 +16,7 @@ from typing import Optional, Sequence
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from detthick import ext
+from detthick import ext, schur
 from detthick.ext import (
     ExtComponent,
     IndexTuple,
@@ -30,7 +31,7 @@ from detthick.ext import (
 from detthick.ideals import normalize, power_gens, saturate, symbolic_gens
 from detthick.kodaira import kodaira_check
 from detthick.partitions import Partition
-from detthick.schur import Weight, ring_graded_dim, schur_dim, weight_expand
+from detthick.schur import Weight, schur_dim, weight_expand
 from detthick.zset import ZPair, zset_general, zset_power
 
 
@@ -625,6 +626,21 @@ def test_last_entry_check_raises(monkeypatch):
     )
     with pytest.raises(RuntimeError, match="should end in"):
         ext_graded(power_gens(2, 7, 3), 9, 3, 3)
+
+
+def test_walks_leave_no_cyclic_garbage():
+    # the recursive closures of _walk and _factor_runs hold their own cells; with
+    # the name deleted after the top-level call, reference counting frees a walk
+    region = ext._region(Partition([2, 2]), 1, (0, 1), 0, 3, 3)  # entry 1 is free
+    assert region.fixed_at == (-3, None, -4)
+    gc.collect()
+    gc.disable()
+    try:
+        assert ext._walk(region, -100, 0) == [((-3,), -3, -4, -3)]
+        assert schur._factor_runs((3, 2, 1, 0), 2, 9)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_ext_json_dims_are_strings():

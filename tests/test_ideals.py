@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,7 +15,7 @@ from detthick.ideals import (
     symbolic_gens,
     yset_gens,
 )
-from detthick.partitions import Partition, enumerate_partitions, leq, sup
+from detthick.partitions import Partition, enumerate_partitions, leq
 
 
 def part_in(n, max_part=5):

@@ -1,8 +1,38 @@
 import pytest
+from test_ext import components_order_reference
 
+from detthick import ext, kodaira
+from detthick.ext import index_tuples
 from detthick.ideals import IdealSpec, normalize, power_gens, saturate, symbolic_gens
-from detthick.kodaira import kodaira_check, sing_codim
+from detthick.kodaira import VanishingReport, kodaira_check, sing_codim
 from detthick.partitions import Partition
+from detthick.zset import zset_general
+
+
+def mechanism_reference(X: IdealSpec, m: int, n: int) -> bool:
+    """The first mechanism scan: every chain of every label, feasible or not,
+    whose j lies in the scanned range mn - m - n + 2 .. mn - 1 has s = 0."""
+    mn = m * n
+    return not any(
+        tup.s != 0 and mn - m - n + 2 <= tup.j <= mn - 1
+        for pair in zset_general(X).pairs
+        for tup in index_tuples(pair.z, pair.l, m, n)
+    )
+
+
+def check_against_reference(X: IdealSpec, m: int, n: int, jmax: int) -> VanishingReport:
+    """kodaira_check(X) beside the walk it replaced: every Ext component at each
+    scanned k in the twists 1..jmax, by the Ext order reference, and the
+    mechanism scan."""
+    rep = kodaira_check(X, m, n, jmax)
+    mn = m * n
+    pairs = zset_general(X).sorted_pairs()
+    want = ()
+    for k in rep.k_checked:
+        want += components_order_reference(pairs, mn - 1 - k, m, n, (-mn + 1, -mn + jmax))
+    assert rep.violations == want, (X, m, n)
+    assert rep.mechanism_ok == mechanism_reference(X, m, n), (X, m, n)
+    return rep
 
 
 def test_sing_codim_values():
@@ -36,12 +66,12 @@ def test_vanishing_across_small_corpus():
                     ):
                         if X.is_unit:
                             continue
-                        rep = kodaira_check(X, m, n, jmax=15)
+                        rep = check_against_reference(X, m, n, jmax=15)
                         assert rep.passed and rep.mechanism_ok, (n, m, p, d)
 
 
 def test_vanishing_for_random_antichains():
-    # any invariant ideal whose radical is at least the 2x2 minors qualifies
+    # any proper nonzero invariant ideal, single-row generators (p = 1) included
     import random
 
     rng = random.Random(23)
@@ -50,16 +80,14 @@ def test_vanishing_for_random_antichains():
         n = rng.randint(2, 4)
         gens = []
         for _ in range(rng.randint(1, 3)):
-            k = rng.randint(2, n)  # no single-row generators: keeps p >= 2
+            k = rng.randint(1, n)
             parts = sorted((rng.randint(1, 4) for _ in range(k)), reverse=True)
             parts = [max(v, 1) for v in parts]
             gens.append(Partition(parts))
         X = normalize(n, gens)
         if X.is_unit or X.is_zero:
             continue
-        if min(g.nparts for g in X.gens) < 2:
-            continue
-        rep = kodaira_check(X, n + 1, n, jmax=15)
+        rep = check_against_reference(X, n + 1, n, jmax=15)
         assert rep.passed and rep.mechanism_ok, X
         done += 1
 
@@ -79,3 +107,38 @@ def test_validation_errors():
         kodaira_check(power_gens(2, 2, 3), 3, 3, jmax=0)
     with pytest.raises(ValueError):
         kodaira_check(IdealSpec.unit(3), 3, 3, jmax=5)
+
+
+@pytest.mark.parametrize(
+    "lift",
+    [
+        lambda tup, region: (tup, region._replace(cap_at=(-2, -3, -3))),  # a cap above -m
+        lambda tup, region: (tup._replace(s=1), region),  # s = 1 in range
+    ],
+    ids=["cap", "s"],
+)
+def test_chain_breaking_the_mechanism_raises(monkeypatch, lift):
+    # power:2:2 over 3 x 3 has one in-range chain, (s, t) = (0, (0, 1)) at j = 6
+    real = kodaira._chains_by_j
+
+    def table(pair, m, n):
+        return {
+            j: tuple(lift(tup, region) for tup, region in chains)
+            for j, chains in real(pair, m, n).items()
+        }
+
+    monkeypatch.setattr(kodaira, "_chains_by_j", table)
+    with pytest.raises(RuntimeError, match=r"chain .* of .* reaches above degree -9"):
+        kodaira_check(power_gens(2, 2, 3), 3, 3)
+
+
+def test_kodaira_walks_no_weights(monkeypatch):
+    # power:2:2 over 3 x 3 has an in-range chain, which a walk would visit
+    X = power_gens(2, 2, 3)
+    warm = kodaira_check(X, 3, 3)  # memoises the chain tables
+
+    def walk(*args):
+        raise AssertionError("kodaira_check walked a weight region")
+
+    monkeypatch.setattr(ext, "_walk", walk)
+    assert kodaira_check(X, 3, 3) == warm

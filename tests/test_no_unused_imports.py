@@ -1,13 +1,14 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package, a test or a demo imports is used in that file.
 
-``__init__.py`` re-exports what it imports and ``from __future__`` imports
-are directives, so both are left out.
+The package's ``__init__.py`` re-exports what it imports and ``from __future__``
+imports are directives, so both are left out.
 """
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "detthick"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "detthick"
 
 
 def _unused(tree: ast.Module) -> list[tuple[str, int]]:
@@ -27,8 +28,12 @@ def _unused(tree: ast.Module) -> list[tuple[str, int]]:
 def test_package_has_no_unused_imports():
     files = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     assert files, f"no modules found under {PACKAGE}"
+    for folder in ("tests", "demos"):
+        found_here = sorted((ROOT / folder).glob("*.py"))
+        assert found_here, f"no files found under {ROOT / folder}"
+        files += found_here
     found = [
-        f"{path.name}:{line} {name}"
+        f"{path.relative_to(ROOT)}:{line} {name}"
         for path in files
         for name, line in _unused(ast.parse(path.read_text(), filename=str(path)))
     ]

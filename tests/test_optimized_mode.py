@@ -3,7 +3,8 @@
 One ``python -O`` subprocess computes the worked 3 x 3 Ext slice, runs the
 Weyl-product kernel on weights and runs that break each of its checks, feeds
 the Ext components a run walker whose weights break the last-entry check,
-and prints what it saw as one JSON line.
+feeds the Kodaira check a chain table whose in-range chain breaks its cap
+check, and prints what it saw as one JSON line.
 """
 
 import json
@@ -15,7 +16,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 SCRIPT = r"""
 import json, sys
-from detthick import ext, schur
+from detthick import ext, kodaira, schur
 from detthick.ext import ext_graded
 from detthick.ideals import power_gens
 
@@ -55,6 +56,14 @@ walk = ext._walk
 ext._walk = lambda *a: [(h, ht, b - 1, e - 1) if len(h) == 2 else (h, ht, b, e) for h, ht, b, e in walk(*a)]
 out["last_entry"] = raises(ext_graded, power_gens(2, 7, 3), 9, 3, 3)
 ext._walk = walk
+# power:2:2 over 3 x 3 has one in-range chain, at j = 6; lift its first cap above -m
+chains = kodaira._chains_by_j
+kodaira._chains_by_j = lambda *a: {
+    j: tuple((tup, region._replace(cap_at=(-2,) + region.cap_at[1:])) for tup, region in rows)
+    for j, rows in chains(*a).items()
+}
+out["kodaira_cap"] = raises(kodaira.kodaira_check, power_gens(2, 2, 3), 3, 3)
+kodaira._chains_by_j = chains
 schur._superfactorial = lambda k: 7**k  # 7**6 does not divide the product 4 of (0, 0, 0)
 out["divisibility"] = raises(schur.expanded_dims, [(0, 0, 0)], 3, 3, 3)
 print(json.dumps(out))
@@ -77,4 +86,5 @@ def test_checks_and_worked_slice_under_optimize():
     assert got["dominance"] and got["expansion_below"] and got["expansion_above"]
     assert got["dominance_free_fixed"] and got["dominance_last_head"]
     assert got["expansion_varying"] and got["last_entry"]
+    assert got["kodaira_cap"]
     assert got["divisibility"]

@@ -2,7 +2,7 @@ import pytest
 
 from detthick import regularity
 from detthick.ext import index_tuples, minimal_weight
-from detthick.ideals import IdealSpec, normalize, power_gens, saturate, symbolic_gens
+from detthick.ideals import IdealSpec, normalize, power_gens, symbolic_gens
 from detthick.partitions import Partition, enumerate_partitions
 from detthick.regularity import (
     NEG_INF,
