@@ -8,6 +8,13 @@ per chain (``schur._run_dims``) and the internal degree of a weight is its
 total size.  Degree windows keep the enumeration finite: a single chain
 can contribute in infinitely many degrees.
 
+Each ideal's feasible chains are indexed by j once per (m, n), in a bounded
+memo (``_ext_index``): its labels in sort order and, for each j, the least
+total of a minimal weight there, which starts the default window, and the
+labels with a feasible chain at j, each with its chains.  An Ext module or
+Ext map at j reads only that j's entries, so a label with no chain there
+costs nothing, and a j with no chain at all returns before any walk.
+
 Per weight, the work is split three ways.  The walk of a chain's region
 branches only on its free entries and hands the kernel runs: the weights
 that share all but the last free entry, as one head and a range of that
@@ -33,7 +40,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 from .ideals import IdealSpec, subideal
 from .partitions import Partition
 from .schur import GradedTable, Run, Weight, _run_dims
-from .zset import ZPair, zset_general
+from .zset import ZPair, ZSet, zset_general
 
 
 class IndexTuple(NamedTuple):
@@ -271,6 +278,33 @@ def _chains_by_j(
     return MappingProxyType({j: tuple(chains) for j, chains in table.items()})
 
 
+_INDEX_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=_INDEX_CACHE_SIZE)
+def _ext_index(
+    zs: ZSet, m: int, n: int
+) -> tuple[list[ZPair], dict[int, int], dict[int, list]]:
+    # an ideal's labels in sort_key order and, for each j with a feasible chain,
+    # the least minimal-weight total there (the floor of the default window) and
+    # the (label, chains) entries of the labels with a chain at j, in label order;
+    # memoised per (labels, m, n) in a bounded LRU cache, so every Ext call still
+    # gets its labels from zset_general
+    labels = zs.sorted_pairs()
+    floors: dict[int, int] = {}
+    entries: dict[int, list] = {}
+    for pair in labels:
+        for j, chains in _chains_by_j(pair, m, n).items():
+            least = min([region.min_rest[0] for _, region in chains])  # the total of lower
+            floors[j] = min(floors.get(j, least), least)
+            entries.setdefault(j, []).append((pair, chains))
+    return labels, floors, entries
+
+
+def _window_from(lo: Optional[int]) -> Optional[tuple[int, int]]:
+    return None if lo is None else (lo, lo + _DEFAULT_WIDTH)
+
+
 def default_window(
     pairs: Sequence[ZPair], j: int, m: int, n: int
 ) -> Optional[tuple[int, int]]:
@@ -280,30 +314,27 @@ def default_window(
         for pair in pairs
         for _, region in _chains_by_j(pair, m, n).get(j, ())
     ]
-    if not floors:
-        return None
-    lo = min(floors)
-    return (lo, lo + _DEFAULT_WIDTH)
+    return _window_from(min(floors) if floors else None)
 
 
 def _components_for_pairs(
-    pairs: Sequence[ZPair],
-    j: int,
+    entries: Sequence[tuple[ZPair, Sequence[tuple[IndexTuple, _Region]]]],
     m: int,
     n: int,
     window: tuple[int, int],
 ) -> tuple[tuple[ExtComponent, ...], tuple[tuple[int, int], ...]]:
-    # the components in (degree, pair, s, t, lam) order and their graded table;
-    # pairs come in sort_key order, chains in (s, t) order and each chain's runs
-    # ascending, so grouping by degree is the whole sort
+    # the components in (degree, pair, s, t, lam) order and their graded table,
+    # from the (label, chains) entries of one j; labels come in sort_key order,
+    # chains in (s, t) order and each chain's runs ascending, so grouping by
+    # degree is the whole sort
     lo, hi = window
     if lo > hi:
         raise ValueError(f"empty degree window [{lo}, {hi}]")
     by_degree: defaultdict[int, list[ExtComponent]] = defaultdict(list)
-    for pair in pairs:
+    for pair, chains in entries:
         z, l = pair.z, pair.l
         zl = z.part(max(l, 1))  # z_0 reads as z_1
-        for tup, region in _chains_by_j(pair, m, n).get(j, ()):
+        for tup, region in chains:
             s, t = tup.s, tup.t
             runs = _walk(region, lo, hi)
             # when z_{l+1} = z_l every weight ends in l - z_l - m: the varying
@@ -336,12 +367,12 @@ def ext_graded(
     """
     if X.n != n:
         raise ValueError(f"ideal lives in P_{X.n}, not P_{n}")
-    pairs = zset_general(X).sorted_pairs()
+    _, floors, entries = _ext_index(zset_general(X), m, n)
     if window is None:
-        window = default_window(pairs, j, m, n)
+        window = _window_from(floors.get(j))
     if window is None:
         return ExtResult(j, m, n, None, (), ())
-    return ExtResult(j, m, n, window, *_components_for_pairs(pairs, j, m, n, window))
+    return ExtResult(j, m, n, window, *_components_for_pairs(entries.get(j, ()), m, n, window))
 
 
 @dataclass(frozen=True)
@@ -387,17 +418,26 @@ def ext_map_parts(
         raise ValueError("first ideal is not contained in the second")
     if sub.n != n:
         raise ValueError(f"ideals live in P_{sub.n}, not P_{n}")
-    zsub = zset_general(sub).pairs
-    zsup = zset_general(sup).pairs
+    sub_set, sup_set = zset_general(sub), zset_general(sup)
+    sub_labels, sub_floors, sub_entries = _ext_index(sub_set, m, n)
+    sup_labels, sup_floors, sup_entries = _ext_index(sup_set, m, n)
+    zsub, zsup = sub_set.pairs, sup_set.pairs
+    # each side keeps its labels' sort_key order, and so do the entries at j
+    at_sub, at_sup = sub_entries.get(j, ()), sup_entries.get(j, ())
     split = {
-        "kernel": sorted(zsup - zsub, key=ZPair.sort_key),
-        "image": sorted(zsup & zsub, key=ZPair.sort_key),
-        "cokernel": sorted(zsub - zsup, key=ZPair.sort_key),
+        "kernel": (
+            [p for p in sup_labels if p not in zsub], [e for e in at_sup if e[0] not in zsub]
+        ),
+        "image": ([p for p in sup_labels if p in zsub], [e for e in at_sup if e[0] in zsub]),
+        "cokernel": (
+            [p for p in sub_labels if p not in zsup], [e for e in at_sub if e[0] not in zsup]
+        ),
     }
     if window is None:
-        window = default_window(sorted(zsub | zsup, key=ZPair.sort_key), j, m, n)
+        floors = [f[j] for f in (sub_floors, sup_floors) if j in f]
+        window = _window_from(min(floors) if floors else None)
     parts = {}
-    for name, pairs in split.items():
-        comps, table = ((), ()) if window is None else _components_for_pairs(pairs, j, m, n, window)
+    for name, (pairs, at_j) in split.items():
+        comps, table = ((), ()) if window is None else _components_for_pairs(at_j, m, n, window)
         parts[name] = ExtMapPart(tuple(pairs), comps, table)
     return ExtMapResult(j, m, n, window, parts["kernel"], parts["image"], parts["cokernel"])

@@ -4,15 +4,16 @@ For a proper nonzero invariant ideal the cohomology of twists of the
 structure sheaf in the smooth range is read off Ext modules: vanishing in
 positive twists for cohomological indices k below the singular codimension
 minus one amounts to every relevant Ext being zero in degrees above -mn.
-``kodaira_check`` reads this off the memoised chain table, walking no weight:
-in that range of j only s = 0 chains occur, whose caps bound every total by -mn.
+``kodaira_check`` reads this off the feasible chains that the memoised Ext
+index holds at each j, walking no weight: in that range of j only s = 0
+chains occur, whose caps bound every total by -mn.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ext import ExtComponent, _chains_by_j
+from .ext import ExtComponent, _ext_index
 from .ideals import IdealSpec
 from .zset import zset_general
 
@@ -61,7 +62,7 @@ def kodaira_check(X: IdealSpec, m: int, n: int, jmax: int = 15) -> VanishingRepo
 
     A component there would be a violation: cohomology in a positive twist.
     The report names the twists 1..jmax, but the certificate covers them all.
-    Two inequalities decide it from the chain table, with no weight walked:
+    Two inequalities decide it from the indexed chains, with no weight walked:
 
     - a chain with s >= 1 has every t_i >= 1, so its j = mn - l^2 - s(m - n)
       - 2 sum(t) <= mn - m - n - l^2 + 2l <= mn - m - n + 1, below the least
@@ -78,10 +79,10 @@ def kodaira_check(X: IdealSpec, m: int, n: int, jmax: int = 15) -> VanishingRepo
         raise ValueError(f"need jmax >= 1, got {jmax}")
     mn = m * n
     j_low = mn - m - n + 2  # j at k = m + n - 3, the deepest scanned index
-    for pair in zset_general(X).sorted_pairs():
-        table = _chains_by_j(pair, m, n)
-        for j in range(j_low, mn):
-            for tup, region in table.get(j, ()):
+    _, _, entries = _ext_index(zset_general(X), m, n)
+    for j in range(j_low, mn):
+        for pair, chains in entries.get(j, ()):
+            for tup, region in chains:
                 if tup.s or not all(c is not None and c <= -m for c in region.cap_at):
                     raise RuntimeError(f"chain {tup} of {pair} reaches above degree {-mn}")
     return VanishingReport(m, n, jmax, X, tuple(range(m + n - 2)), (), True)

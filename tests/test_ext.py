@@ -650,7 +650,7 @@ def test_ext_json_dims_are_strings():
 
 
 def test_results_do_not_depend_on_warm_caches():
-    # every call once with the label and chain caches emptied before it, then
+    # every call once with the label, chain and index caches emptied before it, then
     # twice with them warm
     sub, sup = symbolic_gens(2, 3, 3), power_gens(2, 2, 3)
     m, n = 4, 3
@@ -664,9 +664,88 @@ def test_results_do_not_depend_on_warm_caches():
             if clear:
                 zset_general.cache_clear()
                 ext._chains_by_j.cache_clear()
+                ext._ext_index.cache_clear()
             out.append(call())
         return out
 
     cold = sweep(True)
     assert any(r.components for r in cold[: m * n + 1])
     assert sweep(False) == sweep(False) == cold
+
+
+def check_index_against_scan(sub, sup, m, n):
+    # the memoised index against the per-call scans it replaces: the default
+    # windows of default_window, and the labels that have a chain at each j
+    pairs = zset_general(sub).sorted_pairs()
+    both = sorted(zset_general(sub).pairs | zset_general(sup).pairs, key=ZPair.sort_key)
+    for X in (sub, sup):
+        labels, _, entries = ext._ext_index(zset_general(X), m, n)
+        assert labels == zset_general(X).sorted_pairs()
+        for j in range(m * n + 1):
+            want = [pair for pair in labels if j in ext._chains_by_j(pair, m, n)]
+            assert [pair for pair, _ in entries.get(j, ())] == want, (X, j, m)
+            assert [chains for _, chains in entries.get(j, ())] == [
+                ext._chains_by_j(pair, m, n)[j] for pair in want
+            ]
+    for j in range(m * n + 1):
+        assert ext_graded(sub, j, m, n).window == default_window(pairs, j, m, n), (sub, j, m)
+        assert ext_map_parts(sub, sup, j, m, n).window == default_window(both, j, m, n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["power", "symbolic", "saturated"])
+def test_index_matches_scan_on_families(kind, n):
+    # I^{(d+1)} inside I^{(d)} for each family, at every m from n to n + 2
+    p = 2
+    build = {
+        "power": lambda d: power_gens(p, d, n),
+        "symbolic": lambda d: symbolic_gens(p, d, n),
+        "saturated": lambda d: saturate(power_gens(p, d, n), 1),
+    }[kind]
+    for d in (2, 3):
+        for m in range(n, n + 3):
+            check_index_against_scan(build(d + 1), build(d), m, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ideal_pairs())
+def test_index_matches_scan_on_random_antichains(args):
+    sub, sup, m, n, _ = args
+    check_index_against_scan(sub, sup, m, n)
+
+
+def test_index_is_built_once_per_ideal():
+    # an all-j sweep of Ext and Ext maps plus the Kodaira scan builds each
+    # (ideal, m, n) index once, and every later call reads it
+    sub, sup = symbolic_gens(2, 3, 3), power_gens(2, 2, 3)
+    m, n = 4, 3
+    ext._ext_index.cache_clear()
+    for j in range(m * n + 1):
+        ext_graded(sub, j, m, n)
+        ext_map_parts(sub, sup, j, m, n)
+    kodaira_check(sub, m, n)
+    info = ext._ext_index.cache_info()
+    assert (info.misses, info.hits) == (2, 3 * (m * n + 1) + 1 - 2)
+    ext_graded(sub, 9, m + 1, n)
+    assert ext._ext_index.cache_info().misses == 3
+
+
+def test_index_empty_degree_walks_nothing(monkeypatch):
+    # at j = 7 neither power:2:8 nor power:2:7 over 3 x 3 has a feasible chain
+    sub, sup = power_gens(2, 8, 3), power_gens(2, 7, 3)
+
+    def walk(*args):
+        raise AssertionError("a degree with no feasible chain walked a region")
+
+    monkeypatch.setattr(ext, "_walk", walk)
+    assert ext_graded(sub, 7, 3, 3) == ext.ExtResult(7, 3, 3, None, (), ())
+    got = ext_map_parts(sub, sup, 7, 3, 3)
+    assert got.window is None
+    assert not got.kernel.components and not got.image.components and not got.cokernel.components
+    shared = zset_general(sub).pairs & zset_general(sup).pairs
+    assert got.image.pairs == tuple(sorted(shared, key=ZPair.sort_key))
+    # an explicit reversed window is refused there too, as at any other j
+    with pytest.raises(ValueError, match="empty degree window"):
+        ext_graded(sub, 7, 3, 3, window=(5, 4))
+    with pytest.raises(ValueError, match="empty degree window"):
+        ext_map_parts(sub, sup, 7, 3, 3, window=(5, 4))

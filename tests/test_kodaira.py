@@ -119,15 +119,16 @@ def test_validation_errors():
 )
 def test_chain_breaking_the_mechanism_raises(monkeypatch, lift):
     # power:2:2 over 3 x 3 has one in-range chain, (s, t) = (0, (0, 1)) at j = 6
-    real = kodaira._chains_by_j
+    real = kodaira._ext_index
 
-    def table(pair, m, n):
-        return {
-            j: tuple(lift(tup, region) for tup, region in chains)
-            for j, chains in real(pair, m, n).items()
+    def index(zs, m, n):
+        labels, floors, entries = real(zs, m, n)
+        return labels, floors, {
+            j: [(pair, tuple(lift(tup, region) for tup, region in chains)) for pair, chains in rows]
+            for j, rows in entries.items()
         }
 
-    monkeypatch.setattr(kodaira, "_chains_by_j", table)
+    monkeypatch.setattr(kodaira, "_ext_index", index)
     with pytest.raises(RuntimeError, match=r"chain .* of .* reaches above degree -9"):
         kodaira_check(power_gens(2, 2, 3), 3, 3)
 

@@ -3,7 +3,7 @@
 One ``python -O`` subprocess computes the worked 3 x 3 Ext slice, runs the
 Weyl-product kernel on weights and runs that break each of its checks, feeds
 the Ext components a run walker whose weights break the last-entry check,
-feeds the Kodaira check a chain table whose in-range chain breaks its cap
+feeds the Kodaira check an Ext index whose in-range chain breaks its cap
 check, and prints what it saw as one JSON line.
 """
 
@@ -57,13 +57,18 @@ ext._walk = lambda *a: [(h, ht, b - 1, e - 1) if len(h) == 2 else (h, ht, b, e) 
 out["last_entry"] = raises(ext_graded, power_gens(2, 7, 3), 9, 3, 3)
 ext._walk = walk
 # power:2:2 over 3 x 3 has one in-range chain, at j = 6; lift its first cap above -m
-chains = kodaira._chains_by_j
-kodaira._chains_by_j = lambda *a: {
-    j: tuple((tup, region._replace(cap_at=(-2,) + region.cap_at[1:])) for tup, region in rows)
-    for j, rows in chains(*a).items()
-}
+index = kodaira._ext_index
+
+
+def lift_first_cap(*a):
+    labels, floors, entries = index(*a)
+    lift = lambda chains: tuple((tup, r._replace(cap_at=(-2,) + r.cap_at[1:])) for tup, r in chains)
+    return labels, floors, {j: [(pair, lift(c)) for pair, c in rows] for j, rows in entries.items()}
+
+
+kodaira._ext_index = lift_first_cap
 out["kodaira_cap"] = raises(kodaira.kodaira_check, power_gens(2, 2, 3), 3, 3)
-kodaira._chains_by_j = chains
+kodaira._ext_index = index
 schur._superfactorial = lambda k: 7**k  # 7**6 does not divide the product 4 of (0, 0, 0)
 out["divisibility"] = raises(schur.expanded_dims, [(0, 0, 0)], 3, 3, 3)
 print(json.dumps(out))
