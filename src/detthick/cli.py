@@ -347,10 +347,7 @@ def _window_from_args(args) -> Optional[tuple[int, int]]:
     if args.deg is not None:
         return (args.deg, args.deg)
     if args.window is not None:
-        lo, hi = args.window
-        if lo > hi:
-            raise ValueError(f"empty degree window [{lo}, {hi}]")
-        return (lo, hi)
+        return tuple(args.window)
     return None
 
 

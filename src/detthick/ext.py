@@ -337,14 +337,13 @@ def _components_for_pairs(
         for tup, region in chains:
             s, t = tup.s, tup.t
             runs = _walk(region, lo, hi)
-            # when z_{l+1} = z_l every weight ends in l - z_l - m: the varying
-            # entry of a run when it is the last, else the fixed last entry
-            if z.part(l + 1) == zl:
-                end = l - zl - m
-                for head, _, bottom, top in runs:
-                    ends = (bottom, top) if len(head) == n - 1 else (region.fixed_at[-1],) * 2
-                    if ends != (end, end):
-                        raise RuntimeError(f"weights of {pair}, {tup} should end in {end}")
+            # a label has z_{l+1} = z_l, so every weight ends in l - z_l - m: the
+            # varying entry of a run when it is the last, else the fixed last entry
+            end = l - zl - m
+            for head, _, bottom, top in runs:
+                ends = (bottom, top) if len(head) == n - 1 else (region.fixed_at[-1],) * 2
+                if ends != (end, end):
+                    raise RuntimeError(f"weights of {pair}, {tup} should end in {end}")
             for lam, lam_exp, degree, dim in _run_dims(runs, region.fixed_at, s, m, n):
                 by_degree[degree].append(ExtComponent(pair, s, t, lam, lam_exp, degree, dim))
     degrees = sorted(by_degree)

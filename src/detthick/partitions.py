@@ -1,10 +1,12 @@
 """Integer partitions, the index language for everything in this package.
 
-A partition is a weakly decreasing tuple of positive integers; trailing
-zeros are accepted on input and never stored, so ``(4, 2, 1, 0)`` and
-``(4, 2, 1)`` denote the same object.  Parts are read 1-based through
-:meth:`Partition.part` and every index past the stored length reads 0.
-All arithmetic is exact (Python integers).
+A partition is a weakly decreasing tuple of positive integers, and a
+:class:`Partition` is a ``tuple``: it equals and hashes like the tuple of
+its parts.  Trailing zeros are accepted on input and never stored, so
+``(4, 2, 1, 0)`` and ``(4, 2, 1)`` denote the same object.  Indexing is
+0-based like any tuple; :meth:`Partition.part` reads parts 1-based, and
+every part past the stored length reads 0 there.  All arithmetic is exact
+(Python integers).
 """
 
 from __future__ import annotations
@@ -13,12 +15,12 @@ from math import comb
 from typing import Iterable, Iterator, Optional
 
 
-class Partition:
+class Partition(tuple):
     """Weakly decreasing finite sequence of positive integers."""
 
-    __slots__ = ("_parts",)
+    __slots__ = ()
 
-    def __init__(self, parts: Iterable[int] = ()) -> None:
+    def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
         ps = [int(p) for p in parts]
         while ps and ps[-1] == 0:
             ps.pop()
@@ -27,7 +29,7 @@ class Partition:
                 raise ValueError(f"part {p} is not positive in {ps}")
             if i and ps[i - 1] < p:
                 raise ValueError(f"parts not weakly decreasing: {ps}")
-        self._parts = tuple(ps)
+        return tuple.__new__(cls, ps)
 
     @classmethod
     def from_text(cls, text: str) -> "Partition":
@@ -43,63 +45,44 @@ class Partition:
 
     @property
     def parts(self) -> tuple[int, ...]:
-        return self._parts
+        return self
 
     @property
     def size(self) -> int:
         """Number of boxes, |x|."""
-        return sum(self._parts)
+        return sum(self)
 
     @property
     def nparts(self) -> int:
         """Number of nonzero parts (the height of the first column)."""
-        return len(self._parts)
+        return len(self)
 
     def part(self, i: int) -> int:
         """1-based part access; indices beyond the length read 0."""
         if i < 1:
             raise IndexError(f"part index {i} is not >= 1")
-        return self._parts[i - 1] if i <= len(self._parts) else 0
+        return self[i - 1] if i <= len(self) else 0
 
     def conjugate(self) -> "Partition":
         """Transpose the Young diagram: column heights become rows."""
-        if not self._parts:
+        if not self:
             return Partition()
-        return Partition(
-            sum(1 for p in self._parts if p >= c) for c in range(1, self._parts[0] + 1)
-        )
+        return Partition(sum(1 for p in self if p >= c) for c in range(1, self[0] + 1))
 
     def truncate(self, c: int) -> "Partition":
         """Keep the first c columns: pointwise min with c."""
         if c < 0:
             raise ValueError(f"column bound {c} is negative")
-        return Partition(min(p, c) for p in self._parts)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._parts)
-
-    def __len__(self) -> int:
-        return len(self._parts)
-
-    def __bool__(self) -> bool:
-        return bool(self._parts)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Partition):
-            return NotImplemented
-        return self._parts == other._parts
-
-    def __hash__(self) -> int:
-        return hash(self._parts)
+        return Partition(min(p, c) for p in self)
 
     def __repr__(self) -> str:
-        return f"Partition({list(self._parts)!r})"
+        return f"Partition({list(self)!r})"
 
     def __str__(self) -> str:
-        return ",".join(str(p) for p in self._parts) if self._parts else "0"
+        return ",".join(str(p) for p in self) if self else "0"
 
     def to_json(self) -> list[int]:
-        return list(self._parts)
+        return list(self)
 
 
 EMPTY = Partition()

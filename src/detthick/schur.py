@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb, factorial, prod
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .ideals import IdealSpec
 from .partitions import Partition
@@ -19,11 +19,9 @@ Weight = tuple[int, ...]
 GradedTable = dict[int, int]
 Run = tuple[Weight, int, int, int]  # head, head total, bottom, top: see _run_dims
 
-WeightLike = Union[Partition, Sequence[int]]
 
-
-def _as_weight(lam: WeightLike, k: int) -> Weight:
-    entries = list(lam.parts if isinstance(lam, Partition) else lam)
+def _as_weight(lam: Sequence[int], k: int) -> Weight:
+    entries = list(lam)
     if len(entries) > k:
         raise ValueError(f"weight {entries} has more than {k} entries")
     entries += [0] * (k - len(entries))
@@ -33,7 +31,7 @@ def _as_weight(lam: WeightLike, k: int) -> Weight:
     return tuple(entries)
 
 
-def schur_dim(lam: WeightLike, k: int) -> int:
+def schur_dim(lam: Sequence[int], k: int) -> int:
     """Dimension of the irreducible GL_k representation of highest weight lam.
 
     Weyl's product over pairs i < j of (lam_i - lam_j + j - i) / (j - i),
@@ -54,7 +52,7 @@ def schur_dim(lam: WeightLike, k: int) -> int:
     return num // den
 
 
-def weight_expand(lam: WeightLike, s: int, m: int, n: int) -> Weight:
+def weight_expand(lam: Sequence[int], s: int, m: int, n: int) -> Weight:
     """Expand a GL_n weight to a GL_m weight by the degree-preserving rule.
 
     Keeps the first s entries, inserts m-n copies of s-n, and shifts the

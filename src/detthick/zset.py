@@ -6,6 +6,10 @@ of pairs determines Ext modules, regularity and the vanishing behaviour.
 For powers and symbolic powers of minors the set has a closed form, kept
 separate from the general algorithm so the two can be checked against each
 other.
+
+A label is a named tuple, ``ZPair(z, l) == (z, l)``.  The labels of one
+ideal form a ``ZSet``, a frozen dataclass, so a label set never iterates
+as its fields.
 """
 
 from __future__ import annotations
@@ -13,13 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from typing import NamedTuple
 
 from .ideals import IdealSpec, _check_pdn
 from .partitions import Partition, enumerate_partitions
 
 
-@dataclass(frozen=True)
-class ZPair:
+class ZPair(NamedTuple):
     """One factor label: a partition z with z_1 = ... = z_{l+1}, 0 <= l <= n-1."""
 
     z: Partition

@@ -1,11 +1,14 @@
 """Every name a module of the package, a test or a demo imports is used in that file.
 
 The package's ``__init__.py`` re-exports what it imports and ``from __future__``
-imports are directives, so both are left out.
+imports are directives, so both are left out; ``__all__`` must list exactly
+the names ``__init__.py`` imports.
 """
 
 import ast
 from pathlib import Path
+
+import detthick
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "detthick"
@@ -38,3 +41,16 @@ def test_package_has_no_unused_imports():
         for name, line in _unused(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert found == []
+
+
+def test_package_exports_exactly_what_it_imports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = [
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert imported, "no imports found in __init__.py"
+    assert detthick.__all__ == sorted(set(detthick.__all__))
+    assert set(detthick.__all__) == set(imported)

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -29,12 +32,38 @@ def test_construction_strips_zeros():
 
 
 def test_construction_rejects_bad_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not weakly decreasing"):
         Partition([1, 2])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not positive"):
         Partition([2, -1])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not positive"):
         Partition([3, 0, 1])
+    # pickle and deepcopy rebuild a partition through Partition.__new__
+    rebuild, args = Partition([2, 1]).__reduce_ex__(pickle.HIGHEST_PROTOCOL)[:2]
+    assert rebuild(*args) == (2, 1)
+    with pytest.raises(ValueError, match="not weakly decreasing"):
+        rebuild(args[0], (1, 2))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Partition([3, 2, 0]),
+        lambda: Partition.from_text("3,2"),
+        lambda: Partition([2, 2, 1]).conjugate(),
+        lambda: Partition([5, 2]).truncate(3),
+        lambda: sup(Partition([3]), Partition([2, 2])),
+        lambda: pickle.loads(pickle.dumps(Partition([3, 2]))),
+        lambda: copy.deepcopy(Partition([3, 2])),
+    ],
+    ids=["new", "from_text", "conjugate", "truncate", "sup", "pickle", "deepcopy"],
+)
+def test_partition_is_the_tuple_of_its_parts(build):
+    x = build()
+    assert type(x) is Partition and isinstance(x, tuple)
+    assert x == (3, 2) and hash(x) == hash((3, 2))
+    assert (x[0], x[-1], len(x)) == (3, 2, 2)  # 0-based by index
+    assert (x.part(1), x.part(2), x.part(3)) == (3, 2, 0)  # 1-based through part
 
 
 def test_from_text():

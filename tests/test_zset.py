@@ -126,6 +126,11 @@ def test_principal_single_row():
     X = normalize(2, [Partition([3]), Partition([1, 1])])
     Z = zset_general(X)
     assert {(pr.z.parts, pr.l) for pr in Z.pairs} == {((), 0), ((1,), 0), ((2,), 0)}
+    # a label equals the plain pair (z, l), and z the tuple of its parts
+    assert Z.pairs == {((), 0), ((1,), 0), ((2,), 0)}
+    assert ZPair(Partition([2]), 0) == (Partition([2]), 0)
+    with pytest.raises(TypeError):
+        iter(Z)  # a label set does not unpack as (n, pairs)
 
 
 def test_closed_forms_match_general_algorithm():
