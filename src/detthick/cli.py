@@ -334,8 +334,11 @@ def emit_m2(parsed: ParsedIdeal, m: int, n: int, what: str, path: str, **kw) -> 
             f"E = Ext^{j}(R^1/J, R^1);",
             f"for r from {lo} to {hi} do << r << \" \" << hilbertFunction(r, E) << endl;",
         ]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 # ---------------------------------------------------------------- commands

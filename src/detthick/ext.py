@@ -3,8 +3,7 @@
 Each factor label (z, l) contributes to Ext in the cohomological degrees
 cut out by chains 0 <= s <= t_1 <= ... <= t_{n-l} <= l; for one chain the
 contribution is a sum of irreducibles indexed by the dominant weights in
-an explicit box-like region.  Dimensions come from one Weyl-product kernel
-per chain (``schur._run_dims``) and the internal degree of a weight is its
+an explicit box-like region, and the internal degree of a weight is its
 total size.  Degree windows keep the enumeration finite: a single chain
 can contribute in infinitely many degrees.
 
@@ -15,17 +14,13 @@ labels with a feasible chain at j, each with its chains.  An Ext module or
 Ext map at j reads only that j's entries, so a label with no chain there
 costs nothing, and a j with no chain at all returns before any walk.
 
-Per weight, the work is split three ways.  The walk of a chain's region
-branches only on its free entries and hands the kernel runs: the weights
-that share all but the last free entry, as one head and a range of that
-entry.  The kernel takes the factors among the head's columns once per
-run, so a weight pays only its last free entry's factors, one lookup and
-one division, and it gets its degree as the head's total plus the tail's
-plus that entry.  The components come in (degree, label, s, t, weight)
-order by grouping on degree, since labels, chains and each chain's runs
-already come in that order.  Components and chains are named tuples, the
-cheapest immutable record to build: a component equals the plain tuple of
-its fields, and ``_replace`` stands in for ``dataclasses.replace``.
+The weights of each chain's region are walked and priced in runs by
+``schur._walk`` and one Weyl-product kernel call (``schur._run_dims``) per
+chain.  The components come in (degree, label, s, t, weight) order by
+grouping on degree, since labels, chains and each chain's runs already
+come in that order.  Components and chains are named tuples, the cheapest
+immutable record to build: a component equals the plain tuple of its
+fields, and ``_replace`` stands in for ``dataclasses.replace``.
 """
 
 from __future__ import annotations
@@ -39,7 +34,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .ideals import IdealSpec, subideal
 from .partitions import Partition
-from .schur import GradedTable, Run, Weight, _run_dims
+from .schur import GradedTable, Weight, _bounded, _Region, _run_dims, _walk
 from .zset import ZPair, ZSet, zset_general
 
 
@@ -113,22 +108,11 @@ def index_tuples(z: Partition, l: int, m: int, n: int) -> list[IndexTuple]:
     return out
 
 
-class _Region(NamedTuple):
-    """The dominant weights of one chain, as bounds on each 0-based entry."""
-
-    fixed_at: tuple[Optional[int], ...]  # the value fixed at each position, or None
-    lower: Weight  # least value of each entry; itself the size-minimal weight
-    cap_at: tuple[Optional[int], ...]  # greatest value of each entry, or None
-    min_rest: tuple[int, ...]  # min_rest[j]: the least total of entries j onwards
-    caps_after: tuple[tuple[int, ...], ...]  # the caps after each entry
-    width: tuple[int, ...]  # the uncapped entries from each entry on
-
-
 def _region(
     z: Partition, l: int, t: tuple[int, ...], s: int, m: int, n: int
 ) -> Optional[_Region]:
-    # the region enumerate_weights describes; None when the chain is misshapen
-    # or some entry's least value exceeds its cap
+    # the region enumerate_weights describes, from the chain's own bounds; None when
+    # the chain is misshapen or some entry's least value exceeds its cap
     k = n - l
     if len(t) != k:
         raise ValueError(f"chain {t} should have {k} entries")
@@ -144,13 +128,11 @@ def _region(
 
     # lower[j]: the floor, every fixed entry from j on, and s - n up to entry s
     lower = [floor] * n
-    min_rest = [0] * (n + 1)
     top = floor
     for j in range(n - 1, -1, -1):
         if fixed_at[j] is not None and fixed_at[j] > top:
             top = fixed_at[j]
         lower[j] = max(top, s - n) if j < s else top
-        min_rest[j] = min_rest[j + 1] + lower[j]
     # cap_at[j]: every fixed entry up to j, and s - m from entry s + 1 on
     cap_at: list[Optional[int]] = [None] * n
     run: Optional[int] = None
@@ -166,60 +148,7 @@ def _region(
     w = tuple(lower)
     if any(w[i] < w[i + 1] for i in range(n - 1)):
         raise RuntimeError(f"minimal weight {w} for {z}, l={l}, t={t}, s={s} is not dominant")
-
-    # an entry v at position j bounds the total from above by partial + v * width[j]
-    # + the sum of min(v, c) over caps_after[j]: later entries are at most v and their caps
-    caps_after: list[tuple[int, ...]] = [()] * n
-    for j in range(n - 2, -1, -1):
-        cap = cap_at[j + 1]
-        caps_after[j] = caps_after[j + 1] if cap is None else (cap,) + caps_after[j + 1]
-    width = tuple(n - j - len(caps_after[j]) for j in range(n))
-    return _Region(tuple(fixed_at), w, tuple(cap_at), tuple(min_rest), tuple(caps_after), width)
-
-
-def _walk(region: _Region, lo: int, hi: int) -> list[Run]:
-    # the weights of a region with lo <= total <= hi as ascending runs (head, head total, bottom,
-    # top): head + (v,) + tail, bottom <= v <= top, v at the last free position (else the last one)
-    fixed_at, lower, cap_at, min_rest, caps_after, width = region
-    free = [j for j, v in enumerate(fixed_at) if v is None]
-    if not free:
-        head, v = lower[:-1], lower[-1]
-        return [(head, min_rest[0] - v, v, v)] if lo <= min_rest[0] <= hi else []
-    last = free[-1]
-    tailsum = min_rest[last + 1]
-    out: list[Run] = []
-
-    # entries left to right: a fixed entry is taken in place, a free one branches
-    # from its cap down until the total can no longer reach lo; the runs come
-    # out in descending order
-    def rec(j: int, prev: int, partial: int, acc: Weight) -> None:
-        while True:
-            vmax = min(hi - partial - min_rest[j + 1], prev)
-            cap = cap_at[j]
-            if cap is not None and cap < vmax:
-                vmax = cap
-            v = fixed_at[j]
-            if v is None:
-                break
-            if not lower[j] <= v <= vmax:
-                return
-            j, prev, partial, acc = j + 1, v, partial + v, acc + (v,)
-        vmin = lower[j]
-        if j == last:
-            bottom = max(vmin, lo - partial - tailsum)
-            if bottom <= vmax:
-                out.append((acc, partial, bottom, vmax))
-            return
-        caps, wj = caps_after[j], width[j]
-        for v in range(vmax, vmin - 1, -1):
-            if partial + v * wj + sum([c if c < v else v for c in caps]) < lo:
-                break
-            rec(j + 1, v, partial + v, acc + (v,))
-
-    rec(0, hi - min_rest[1], 0, ())
-    del rec  # the closure holds its own cell: break the cycle
-    out.reverse()
-    return out
+    return _bounded(tuple(fixed_at), w, tuple(cap_at))
 
 
 def minimal_weight(

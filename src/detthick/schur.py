@@ -3,13 +3,19 @@
 Everything reduces to the Weyl dimension product, evaluated exactly on
 dominant integer weights (negative entries included); translation of a
 weight by a constant vector never changes the dimension.
+
+A piece of Ext and the Hilbert function of a factor are both Weyl-weighted
+counts of the dominant weights of a region (``_Region``) in a degree window,
+so one walk (``_walk``) and one kernel (``_run_dims``) serve both; a factor's
+region is memoised per label.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial, prod
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .ideals import IdealSpec
 from .partitions import Partition
@@ -186,6 +192,86 @@ def _run_dims(
     return out
 
 
+class _Region(NamedTuple):
+    """The dominant weights of one chain or one factor, as bounds on each 0-based entry."""
+
+    fixed_at: tuple[Optional[int], ...]  # the value fixed at each position, or None
+    lower: Weight  # least value of each entry; itself the size-minimal weight
+    cap_at: tuple[Optional[int], ...]  # greatest value of each entry, or None
+    min_rest: tuple[int, ...]  # min_rest[j]: the least total of entries j onwards
+    caps_after: tuple[tuple[int, ...], ...]  # the caps after each entry
+    width: tuple[int, ...]  # the uncapped entries from each entry on
+
+
+def _bounded(
+    fixed_at: tuple[Optional[int], ...], lower: Weight, cap_at: tuple[Optional[int], ...]
+) -> _Region:
+    # the region with these bounds, with the sums and caps its walk prunes by
+    n = len(lower)
+    min_rest = [0] * (n + 1)
+    for j in range(n - 1, -1, -1):
+        min_rest[j] = min_rest[j + 1] + lower[j]
+    # an entry v at position j bounds the total from above by partial + v * width[j]
+    # + the sum of min(v, c) over caps_after[j]: later entries are at most v and their caps
+    caps_after: list[tuple[int, ...]] = [()] * n
+    for j in range(n - 2, -1, -1):
+        cap = cap_at[j + 1]
+        caps_after[j] = caps_after[j + 1] if cap is None else (cap,) + caps_after[j + 1]
+    width = tuple(n - j - len(caps_after[j]) for j in range(n))
+    return _Region(fixed_at, lower, cap_at, tuple(min_rest), tuple(caps_after), width)
+
+
+def _walk(region: _Region, lo: int, hi: int) -> list[Run]:
+    # the weights of a region with lo <= total <= hi as ascending runs (head, head total, bottom,
+    # top): head + (v,) + tail, bottom <= v <= top, v at the last free position (else the last one)
+    fixed_at, lower, cap_at, min_rest, caps_after, width = region
+    if None not in fixed_at:
+        head, v = lower[:-1], lower[-1]
+        return [(head, min_rest[0] - v, v, v)] if lo <= min_rest[0] <= hi else []
+    last = len(fixed_at) - 1 - fixed_at[::-1].index(None)
+    tailsum = min_rest[last + 1]
+    out: list[Run] = []
+
+    # entries left to right: a fixed entry is taken in place, a free one branches
+    # from its cap down until the total can no longer reach lo; the runs come
+    # out in descending order
+    def rec(j: int, prev: int, partial: int, acc: Weight) -> None:
+        while True:
+            vmax = min(hi - partial - min_rest[j + 1], prev)
+            cap = cap_at[j]
+            if cap is not None and cap < vmax:
+                vmax = cap
+            v = fixed_at[j]
+            if v is None:
+                break
+            if not lower[j] <= v <= vmax:
+                return
+            j, prev, partial, acc = j + 1, v, partial + v, acc + (v,)
+        vmin = lower[j]
+        if j == last:
+            bottom = max(vmin, lo - partial - tailsum)
+            if bottom <= vmax:
+                out.append((acc, partial, bottom, vmax))
+            return
+        caps, wj = caps_after[j], width[j]
+        for v in range(vmax, vmin - 1, -1):
+            if partial + v * wj + sum([c if c < v else v for c in caps]) < lo:
+                break
+            rec(j + 1, v, partial + v, acc + (v,))
+
+    rec(0, hi - min_rest[1], 0, ())
+    del rec  # the closure holds its own cell: break the cycle
+    out.reverse()
+    return out
+
+
+@lru_cache(maxsize=4096)
+def _factor_region(zs: Weight, l: int) -> _Region:
+    # the partitions x >= zs with x_i = zs_i for i >= l (0-based): the factor labeled (zs, l)
+    fixed = (None,) * l + zs[l:]
+    return _bounded(fixed, zs, fixed)
+
+
 def j_graded_dim(z: Partition, l: int, r: int, m: int, n: int) -> int:
     """Degree-r dimension of the factor module labeled (z, l) over an m x n matrix.
 
@@ -196,42 +282,23 @@ def j_graded_dim(z: Partition, l: int, r: int, m: int, n: int) -> int:
         raise ValueError(f"need nparts(z) <= n <= m for {z}, n={n}, m={m}")
     if not 0 <= l <= n:
         raise ValueError(f"need 0 <= l <= {n}, got l={l}")
-    if r < 0:
+    if r < z.size or (not l and r != z.size):  # with l = 0 the factor is z alone
         return 0
-    zs = z.parts + (0,) * (n - z.nparts)
-    if not l:  # the factor is z alone, in degree |z|
-        return expanded_dims([zs], n, m, n)[0][1] if z.size == r else 0
-    return sum([dim for *_, dim in _run_dims(_factor_runs(zs, l, r), (None,) * l + zs[l:], n, m, n)])
-
-
-def _factor_runs(zs: Weight, l: int, r: int) -> list[Run]:
-    # the partitions x >= zs with x_i = zs_i for i >= l (0-based) and |x| = r, each a
-    # run of one weight: the head x_0 ... x_{l-2}, then x_{l-1}, which |x| = r fixes
-    budget = r - sum(zs[l:])
-    out: list[Run] = []
-
-    def rec(i: int, prev: int, left: int, acc: Weight) -> None:
-        if i == l - 1:
-            if zs[i] <= left <= prev:
-                out.append((acc, budget - left, left, left))
-            return
-        for v in range(zs[i], min(prev, left - sum(zs[i + 1 : l])) + 1):
-            rec(i + 1, v, left - v, acc + (v,))
-
-    rec(0, budget + zs[0], budget, ())  # with budget < 0 nothing fits
-    del rec  # the closure holds its own cell: break the cycle
-    return out
+    if not n:  # GL_0 has the empty weight alone, of dimension 1
+        return 1
+    region = _factor_region(z.parts + (0,) * (n - z.nparts), l)
+    return sum([dim for *_, dim in _run_dims(_walk(region, r, r), region.fixed_at, n, m, n)])
 
 
 def quotient_graded_dim(X: IdealSpec, r: int, m: int, n: int) -> int:
     """Degree-r dimension of S/I_X, summed over the label filtration of S/I_X.
 
-    S/I_X has a GL-equivariant filtration whose factors are the modules
-    labeled by the pairs (z, l) of ``zset_general(X)``, so its degree-r
-    dimension is the sum of ``j_graded_dim(z, l, r, m, n)`` over the labels
-    with |z| <= r.  Below the least generator size nothing of degree r lies
-    in I_X, and the dimension is that of the ring (Cauchy's identity); that
-    case, like the zero and unit ideals, never computes the labels.
+    S/I_X has a GL-equivariant filtration whose factors are the modules labeled
+    by the pairs (z, l) of ``zset_general(X)``, so its degree-r dimension is
+    the sum of ``j_graded_dim(z, l, r, m, n)`` over the labels with |z| <= r
+    (|z| = r when l = 0).  Below the least generator size nothing of degree r
+    lies in I_X, and the dimension is that of the ring (Cauchy's identity);
+    that case, like the zero and unit ideals, never computes the labels.
     """
     if X.n != n:
         raise ValueError(f"ideal lives in P_{X.n}, not P_{n}")
@@ -241,7 +308,8 @@ def quotient_graded_dim(X: IdealSpec, r: int, m: int, n: int) -> int:
         return 0
     if X.is_zero or r < min(g.size for g in X.gens):
         return ring_graded_dim(r, m, n)
-    return sum(j_graded_dim(p.z, p.l, r, m, n) for p in zset_general(X).pairs if p.z.size <= r)
+    labels = [p for p in zset_general(X).pairs if p.z.size <= r and (p.l or p.z.size == r)]
+    return sum([j_graded_dim(p.z, p.l, r, m, n) for p in labels])
 
 
 def ring_graded_dim(r: int, m: int, n: int) -> int:

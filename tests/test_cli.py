@@ -185,6 +185,16 @@ def test_emit_m2_rejects_raw_gens(tmp_path, monkeypatch):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("where", ["missing/x.m2", "."])
+def test_emit_m2_unwritable_path_is_one_error_line(capsys, tmp_path, where):
+    # a path in a directory that does not exist, and a path that is a directory
+    path = tmp_path / where
+    assert main(["reg", "--n", "3", "--ideal", "power:2:2", "--emit-m2", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+
+
 def test_main_exit_codes(capsys):
     assert main(["reg", "--n", "3", "--ideal", "power:2:2"]) == 0
     capsys.readouterr()

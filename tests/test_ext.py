@@ -629,15 +629,17 @@ def test_last_entry_check_raises(monkeypatch):
 
 
 def test_walks_leave_no_cyclic_garbage():
-    # the recursive closures of _walk and _factor_runs hold their own cells; with
-    # the name deleted after the top-level call, reference counting frees a walk
+    # the recursive closure of _walk holds its own cell; with the name deleted
+    # after the top-level call, reference counting frees a walk of a chain's
+    # region and of a factor's
     region = ext._region(Partition([2, 2]), 1, (0, 1), 0, 3, 3)  # entry 1 is free
     assert region.fixed_at == (-3, None, -4)
+    factor = schur._factor_region((3, 2, 1, 0), 2)
     gc.collect()
     gc.disable()
     try:
-        assert ext._walk(region, -100, 0) == [((-3,), -3, -4, -3)]
-        assert schur._factor_runs((3, 2, 1, 0), 2, 9)
+        assert schur._walk(region, -100, 0) == [((-3,), -3, -4, -3)]
+        assert schur._walk(factor, 9, 9)
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -224,9 +224,9 @@ def run_kernel_shapes(n, d, l, zvals, width):
             check(ext._walk(region, lo, lo + width), region.fixed_at, tup.s)
             if None not in region.fixed_at:
                 met.add("no free column")
-    zs = tuple(vals)
-    for r in range(z.size, z.size + width + 1) if l else ():
-        check(schur._factor_runs(zs, l, r), (None,) * l + zs[l:], n)
+    region = schur._factor_region(tuple(vals), l)
+    for r in range(z.size, z.size + width + 1):
+        check(schur._walk(region, r, r), region.fixed_at, n)
     return met
 
 
@@ -275,6 +275,8 @@ def test_expanded_dims_checks_weyl_divisibility(monkeypatch):
 
 
 def factor_dim_oracle(z, l, r, m, n):
+    if r < 0:  # no partition has a negative size
+        return 0
     total = 0
     for x in enumerate_partitions(n, r, size=r):
         if not leq(z, x):
@@ -285,16 +287,26 @@ def factor_dim_oracle(z, l, r, m, n):
     return total
 
 
-def test_factor_dimension_matches_direct_enumeration():
-    cases = [
-        (Partition([2, 2]), 1, 5, 3, 3),
-        (Partition([2, 2]), 1, 6, 3, 3),
-        (Partition([1, 1, 1]), 2, 4, 4, 3),
-        (Partition([]), 0, 3, 3, 2),
-        (Partition([3, 3, 3]), 2, 11, 4, 3),
-    ]
-    for z, l, r, m, n in cases:
-        assert j_graded_dim(z, l, r, m, n) == factor_dim_oracle(z, l, r, m, n)
+@pytest.mark.parametrize("n, m", [(n, m) for n in range(4) for m in range(n, n + 3)])
+def test_factor_dimension_matches_direct_enumeration(n, m):
+    # every z in the n x 3 box, every l, from one degree below |z| to three above;
+    # GL_0 (n = 0) has the empty weight alone, in degree 0
+    for z in enumerate_partitions(n, 3):
+        for l in range(n + 1):
+            for r in range(z.size - 1, z.size + 4):
+                expected = factor_dim_oracle(z, l, r, m, n) if n else int(r == 0)
+                assert j_graded_dim(z, l, r, m, n) == expected, (z, l, r)
+
+
+def test_factor_regions_are_built_once_per_label():
+    # the regions are memoised per (z, l): a second sweep over the degrees builds none
+    X = power_gens(2, 3, 3)
+    schur._factor_region.cache_clear()
+    first = [quotient_graded_dim(X, r, 4, 3) for r in range(12)]
+    built = schur._factor_region.cache_info().misses
+    assert built
+    assert [quotient_graded_dim(X, r, 4, 3) for r in range(12)] == first
+    assert schur._factor_region.cache_info().misses == built
 
 
 def test_factor_dimension_below_size_is_zero():
