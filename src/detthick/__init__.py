@@ -54,6 +54,7 @@ from .schur import (
     expanded_dims,
     j_graded_dim,
     quotient_graded_dim,
+    quotient_hilbert_table,
     ring_graded_dim,
     schur_dim,
     weight_expand,
@@ -92,6 +93,7 @@ __all__ = [
     "normalize",
     "power_gens",
     "quotient_graded_dim",
+    "quotient_hilbert_table",
     "r_bruteforce",
     "r_closed",
     "radical_index",

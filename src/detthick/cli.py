@@ -30,7 +30,7 @@ from .ideals import (
 from .kodaira import kodaira_check, sing_codim
 from .partitions import Partition
 from .regularity import KINDS, NEG_INF, reg_power_details, reg_quotient
-from .schur import graded_table_to_json, quotient_graded_dim
+from .schur import graded_table_to_json, quotient_hilbert_table
 from .zset import zset_general, zset_power
 
 SCHEMA = "detthick/1"
@@ -410,10 +410,7 @@ def _cmd_reg_powers(args) -> dict:
 
 
 def _cmd_hilbert(args) -> dict:
-    table = {
-        r: quotient_graded_dim(args.ideal.ideal, r, args.m, args.n)
-        for r in range(args.rmax + 1)
-    }
+    table = quotient_hilbert_table(args.ideal.ideal, 0, args.rmax, args.m, args.n)
     return {"table": graded_table_to_json(table)}
 
 

@@ -7,7 +7,7 @@ weight by a constant vector never changes the dimension.
 A piece of Ext and the Hilbert function of a factor are both Weyl-weighted
 counts of the dominant weights of a region (``_Region``) in a degree window,
 so one walk (``_walk``) and one kernel (``_run_dims``) serve both; a factor's
-region is memoised per label.
+region is memoised per label, and a Hilbert table walks each once over its degree range.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .ideals import IdealSpec
 from .partitions import Partition
-from .zset import zset_general
+from .zset import _LABEL_CACHE_SIZE, zset_general
 
 Weight = tuple[int, ...]
 GradedTable = dict[int, int]
@@ -290,26 +290,56 @@ def j_graded_dim(z: Partition, l: int, r: int, m: int, n: int) -> int:
     return sum([dim for *_, dim in _run_dims(_walk(region, r, r), region.fixed_at, n, m, n)])
 
 
-def quotient_graded_dim(X: IdealSpec, r: int, m: int, n: int) -> int:
-    """Degree-r dimension of S/I_X, summed over the label filtration of S/I_X.
+@lru_cache(maxsize=_LABEL_CACHE_SIZE)
+def _least_size(X: IdealSpec) -> int:
+    # the least generator size of a nonzero ideal: below it S/I_X is the whole ring
+    return min([g.size for g in X.gens])
 
-    S/I_X has a GL-equivariant filtration whose factors are the modules labeled
-    by the pairs (z, l) of ``zset_general(X)``, so its degree-r dimension is
-    the sum of ``j_graded_dim(z, l, r, m, n)`` over the labels with |z| <= r
-    (|z| = r when l = 0).  Below the least generator size nothing of degree r
-    lies in I_X, and the dimension is that of the ring (Cauchy's identity);
-    that case, like the zero and unit ideals, never computes the labels.
+
+@lru_cache(maxsize=_LABEL_CACHE_SIZE)
+def _labels_by_size(X: IdealSpec) -> tuple[tuple[int, Weight, int], ...]:
+    # (|z|, z padded to n entries, l) for each label of X, in order of |z|
+    pairs = zset_general(X).pairs
+    return tuple(sorted([(p.z.size, p.z.parts + (0,) * (X.n - p.z.nparts), p.l) for p in pairs]))
+
+
+def quotient_hilbert_table(X: IdealSpec, lo: int, hi: int, m: int, n: int) -> GradedTable:
+    """Dimensions of S/I_X in the degrees lo..hi, one walk per label of its filtration.
+
+    S/I_X has a GL-equivariant filtration whose factors are the modules labeled by the
+    pairs (z, l) of ``zset_general(X)``, so its degree-r dimension is the sum of
+    ``j_graded_dim(z, l, r, m, n)`` over the labels with |z| <= r (|z| = r when l = 0);
+    each label's region is walked once, from degree |z| to hi.  Below the least generator
+    size nothing of degree r lies in I_X, and the dimension is that of the ring (Cauchy's
+    identity); those degrees, like the zero and unit ideals, never compute the labels.
     """
     if X.n != n:
         raise ValueError(f"ideal lives in P_{X.n}, not P_{n}")
     if not n <= m:
         raise ValueError(f"need n <= m, got m={m}, n={n}")
-    if r < 0 or X.is_unit:
-        return 0
-    if X.is_zero or r < min(g.size for g in X.gens):
-        return ring_graded_dim(r, m, n)
-    labels = [p for p in zset_general(X).pairs if p.z.size <= r and (p.l or p.z.size == r)]
-    return sum([j_graded_dim(p.z, p.l, r, m, n) for p in labels])
+    if lo > hi:
+        raise ValueError(f"need lo <= hi, got lo={lo}, hi={hi}")
+    least = hi + 1 if X.is_zero else _least_size(X)  # 0 for the unit ideal
+    table = {r: ring_graded_dim(r, m, n) if r < least else 0 for r in range(lo, hi + 1)}
+    if hi < least or X.is_unit:
+        return table
+    start = max(lo, least)
+    for size, zs, l in _labels_by_size(X):
+        if size > hi:
+            break
+        if l:
+            region = _factor_region(zs, l)
+            runs = _walk(region, max(start, size), hi)
+            for *_, total, dim in _run_dims(runs, region.fixed_at, n, m, n):
+                table[total] += dim
+        elif size >= start:  # the factor is z alone
+            table[size] += schur_dim(zs, m) * schur_dim(zs, n)
+    return table
+
+
+def quotient_graded_dim(X: IdealSpec, r: int, m: int, n: int) -> int:
+    """Degree-r dimension of S/I_X: the one-degree case of ``quotient_hilbert_table``."""
+    return quotient_hilbert_table(X, r, r, m, n)[r]
 
 
 def ring_graded_dim(r: int, m: int, n: int) -> int:

@@ -7,13 +7,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from detthick import cli, ext, ideals, schur
 from detthick.ext import enumerate_weights, index_tuples, minimal_weight
-from detthick.ideals import IdealSpec, member, normalize, power_gens, succ_gens
+from detthick.ideals import IdealSpec, member, normalize, power_gens, succ_gens, symbolic_gens
 from detthick.partitions import Partition, enumerate_partitions, leq
 from detthick.schur import (
     expanded_dims,
     graded_table_to_json,
     j_graded_dim,
     quotient_graded_dim,
+    quotient_hilbert_table,
     ring_graded_dim,
     schur_dim,
     weight_expand,
@@ -359,6 +360,16 @@ def quotient_graded_dim_reference(X, r, m, n):
     return sum(dim for _, dim in expanded_dims(outside, n, m, n))
 
 
+def quotient_graded_dim_by_labels(X, r, m, n):
+    """Degree-r dimension of S/I_X: the factors of its label filtration, one degree at a time."""
+    if r < 0 or X.is_unit:
+        return 0
+    if X.is_zero or r < min(g.size for g in X.gens):
+        return ring_graded_dim(r, m, n)
+    labels = [p for p in zset_general(X).pairs if p.z.size <= r and (p.l or p.z.size == r)]
+    return sum(j_graded_dim(p.z, p.l, r, m, n) for p in labels)
+
+
 def test_filtration_dimensions_sum_to_quotient():
     X = normalize(3, [Partition([2, 1]), Partition([1, 1, 1])])
     pairs = zset_general(X).sorted_pairs()
@@ -419,6 +430,68 @@ def test_factor_dimension_is_difference_of_quotients(n, d, raw):
             ), (X, pr, r)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=4),
+    d=st.integers(min_value=0, max_value=2),
+    raw=rows_lists,
+    start=st.sampled_from(["below zero", "at least", "above least"]),
+    width=st.integers(min_value=0, max_value=4),
+)
+@example(n=3, d=1, raw=[], start="below zero", width=4)  # the zero ideal
+@example(n=3, d=1, raw=[[]], start="at least", width=2)  # the unit ideal
+@example(n=2, d=0, raw=[[2, 1]], start="at least", width=0)  # one degree
+def test_hilbert_table_matches_both_oracles(n, d, raw, start, width):
+    X = normalize(n, gens_from_rows(n, raw))
+    least = min((g.size for g in X.gens), default=0)
+    lo = {"below zero": -2, "at least": least, "above least": least + 2}[start]
+    m = n + d
+    table = quotient_hilbert_table(X, lo, lo + width, m, n)
+    assert list(table) == list(range(lo, lo + width + 1))
+    for r, dim in table.items():
+        assert dim == quotient_graded_dim_by_labels(X, r, m, n), (X, r, m)
+        assert dim == quotient_graded_dim_reference(X, r, m, n), (X, r, m)
+
+
+@pytest.mark.parametrize(
+    "X, m, n, rmax",
+    [
+        (symbolic_gens(3, 6, 5), 6, 5, 40),
+        (power_gens(3, 4, 5), 6, 5, 42),
+        (power_gens(2, 6, 4), 5, 4, 40),
+    ],
+)
+def test_hilbert_table_matches_label_sums(X, m, n, rmax):
+    # far past the generators, where the membership scan is too slow to serve
+    table = quotient_hilbert_table(X, 0, rmax, m, n)
+    assert table == {r: quotient_graded_dim_by_labels(X, r, m, n) for r in range(rmax + 1)}
+
+
+def test_hilbert_table_rejects_an_empty_window():
+    with pytest.raises(ValueError, match="lo <= hi"):
+        quotient_hilbert_table(power_gens(2, 2, 3), 4, 3, 3, 3)
+
+
+def test_hilbert_walks_each_label_once(monkeypatch):
+    # one walk per label with l >= 1 and |z| <= rmax, over all the degrees at once
+    X, rmax = power_gens(2, 3, 3), 9
+    walks = []
+
+    def spy(region, lo, hi):
+        walks.append((region, lo, hi))
+        return walk(region, lo, hi)
+
+    walk = schur._walk
+    monkeypatch.setattr(schur, "_walk", spy)
+    doc = cli.run(["hilbert", "--m", "4", "--n", "3", "--ideal", "power:2:3", "--rmax", str(rmax), "--json"])
+    walked = [p for p in zset_general(X).pairs if p.l and p.z.size <= rmax]
+    assert walked
+    assert len(walks) == len(walked)
+    assert {hi for *_, hi in walks} == {rmax}
+    table = json.loads(doc)["result"]["table"]
+    assert table == {str(r): str(quotient_graded_dim_by_labels(X, r, 4, 3)) for r in range(rmax + 1)}
+
+
 def test_trivial_ideals_and_low_degrees(monkeypatch):
     # saturating I_1^3 gives the unit ideal, and "0" is the empty partition
     for ideal in ("satpower:1:3", "gens:0"):
@@ -439,9 +512,12 @@ def test_trivial_ideals_and_low_degrees(monkeypatch):
     def no_labels(_):
         raise AssertionError("labels computed below the least generator size")
 
+    schur._labels_by_size.cache_clear()  # a memoised label list would hide a call
     monkeypatch.setattr(schur, "zset_general", no_labels)
     for r in (0, 1, 5, 59):
         assert quotient_graded_dim(X, r, 6, 6) == comb(35 + r, r)
+    doc = cli.run(["hilbert", "--m", "6", "--n", "6", "--ideal", "power:2:30", "--rmax", "59", "--json"])
+    assert json.loads(doc)["result"]["table"] == {str(r): str(comb(35 + r, r)) for r in range(60)}
     assert quotient_graded_dim_reference(X, 5, 6, 6) == comb(40, 5)
 
 
