@@ -51,7 +51,6 @@ from .regularity import (
 )
 from .schur import (
     GradedTable,
-    expanded_dims,
     j_graded_dim,
     quotient_graded_dim,
     quotient_hilbert_table,
@@ -78,7 +77,6 @@ __all__ = [
     "ZSet",
     "enumerate_partitions",
     "enumerate_weights",
-    "expanded_dims",
     "ext_graded",
     "ext_map_parts",
     "f_value",

@@ -238,12 +238,7 @@ def default_window(
     pairs: Sequence[ZPair], j: int, m: int, n: int
 ) -> Optional[tuple[int, int]]:
     """[lo, lo + 10] with lo the least total of any feasible minimal weight at j."""
-    floors = [
-        sum(region.lower)
-        for pair in pairs
-        for _, region in _chains_by_j(pair, m, n).get(j, ())
-    ]
-    return _window_from(min(floors) if floors else None)
+    return _window_from(_ext_index(ZSet(n, frozenset(pairs)), m, n)[1].get(j))
 
 
 def _components_for_pairs(

@@ -6,8 +6,9 @@ weight by a constant vector never changes the dimension.
 
 A piece of Ext and the Hilbert function of a factor are both Weyl-weighted
 counts of the dominant weights of a region (``_Region``) in a degree window,
-so one walk (``_walk``) and one kernel (``_run_dims``) serve both; a factor's
-region is memoised per label, and a Hilbert table walks each once over its degree range.
+so one walk (``_walk``) and one kernel (``_run_dims``) serve both.  One pricer serves a
+factor in one degree and a Hilbert table: an l = 0 factor is S_z C^m (x) S_z C^n, two Weyl
+products; any other walks its region once, and only those regions are memoised per label.
 """
 
 from __future__ import annotations
@@ -83,23 +84,6 @@ def weight_expand(lam: Sequence[int], s: int, m: int, n: int) -> Weight:
 def _superfactorial(k: int) -> int:
     # prod over 0 <= i < j < k of (j - i), the denominator of Weyl's product over GL_k
     return prod(map(factorial, range(k)))
-
-
-def expanded_dims(weights: Sequence[Weight], s: int, m: int, n: int) -> list[tuple[Weight, int]]:
-    """Each GL_n weight's expansion at s with dim_m(expansion) * dim_n(weight).
-
-    The Ext kernel ``_run_dims`` with every entry free and each weight a run of its own: a
-    weight that is not dominant, breaks the bounds of weight_expand or whose Weyl product does
-    not divide raises RuntimeError.
-    """
-    if not 0 <= s <= n <= m:
-        raise ValueError(f"need 0 <= s <= n <= m, got s={s}, n={n}, m={m}")
-    if any([len(lam) != n for lam in weights]):
-        raise ValueError(f"every weight needs {n} entries")
-    if not n:  # GL_0 has the empty weight alone, of dimension 1
-        return [((0,) * m, 1) for _ in weights]
-    runs = [(lam[:-1], sum(lam) - lam[-1], lam[-1], lam[-1]) for lam in weights]
-    return [(big, dim) for _, big, _, dim in _run_dims(runs, (None,) * n, s, m, n)]
 
 
 def _run_dims(
@@ -272,6 +256,20 @@ def _factor_region(zs: Weight, l: int) -> _Region:
     return _bounded(fixed, zs, fixed)
 
 
+def _add_factor(table: GradedTable, zs: Weight, l: int, lo: int, hi: int, m: int, n: int) -> None:
+    # add dim(x, m) * dim(x, n) into table[|x|] for each weight x of the factor labeled (zs, l),
+    # zs padded to n entries, with lo <= |x| <= hi: an l = 0 factor is zs alone, any other
+    # is its region's walk priced in one kernel call
+    if not l:
+        size = sum(zs)
+        if lo <= size <= hi:
+            table[size] += schur_dim(zs, m) * schur_dim(zs, n)
+        return
+    region = _factor_region(zs, l)
+    for *_, total, dim in _run_dims(_walk(region, lo, hi), region.fixed_at, n, m, n):
+        table[total] += dim
+
+
 def j_graded_dim(z: Partition, l: int, r: int, m: int, n: int) -> int:
     """Degree-r dimension of the factor module labeled (z, l) over an m x n matrix.
 
@@ -282,12 +280,9 @@ def j_graded_dim(z: Partition, l: int, r: int, m: int, n: int) -> int:
         raise ValueError(f"need nparts(z) <= n <= m for {z}, n={n}, m={m}")
     if not 0 <= l <= n:
         raise ValueError(f"need 0 <= l <= {n}, got l={l}")
-    if r < z.size or (not l and r != z.size):  # with l = 0 the factor is z alone
-        return 0
-    if not n:  # GL_0 has the empty weight alone, of dimension 1
-        return 1
-    region = _factor_region(z.parts + (0,) * (n - z.nparts), l)
-    return sum([dim for *_, dim in _run_dims(_walk(region, r, r), region.fixed_at, n, m, n)])
+    table = {r: 0}
+    _add_factor(table, z.parts + (0,) * (n - z.nparts), l, r, r, m, n)
+    return table[r]
 
 
 @lru_cache(maxsize=_LABEL_CACHE_SIZE)
@@ -327,13 +322,7 @@ def quotient_hilbert_table(X: IdealSpec, lo: int, hi: int, m: int, n: int) -> Gr
     for size, zs, l in _labels_by_size(X):
         if size > hi:
             break
-        if l:
-            region = _factor_region(zs, l)
-            runs = _walk(region, max(start, size), hi)
-            for *_, total, dim in _run_dims(runs, region.fixed_at, n, m, n):
-                table[total] += dim
-        elif size >= start:  # the factor is z alone
-            table[size] += schur_dim(zs, m) * schur_dim(zs, n)
+        _add_factor(table, zs, l, start, hi, m, n)
     return table
 
 

@@ -10,7 +10,6 @@ from detthick.ext import enumerate_weights, index_tuples, minimal_weight
 from detthick.ideals import IdealSpec, member, normalize, power_gens, succ_gens, symbolic_gens
 from detthick.partitions import Partition, enumerate_partitions, leq
 from detthick.schur import (
-    expanded_dims,
     graded_table_to_json,
     j_graded_dim,
     quotient_graded_dim,
@@ -93,6 +92,13 @@ def test_weight_expand_boundary_violations():
         weight_expand((-4, -5, -6), 1, 4, 3)  # lam_1 < 1-3
     with pytest.raises(ValueError):
         weight_expand((0, 0, -6), 1, 4, 3)  # lam_2 > 1-4
+
+
+def expanded_dims(weights, s, m, n):
+    """Each GL_n weight's expansion at s with dim_m(expansion) * dim_n(weight), from the
+    kernel with every entry free and each weight a run of its own."""
+    runs = [(lam[:-1], sum(lam) - lam[-1], lam[-1], lam[-1]) for lam in weights]
+    return [(big, dim) for _, big, _, dim in schur._run_dims(runs, (None,) * n, s, m, n)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -263,10 +269,6 @@ def test_expanded_dims_rejects_weights_that_do_not_expand():
             expanded_dims([(-4, -5, -6)], 1, m, 3)  # lam_1 < 1 - n
         with pytest.raises(RuntimeError, match="above"):
             expanded_dims([(-2, -3, -5), (0, 0, -6)], 1, m, 3)  # lam_2 > 1 - m
-    with pytest.raises(ValueError):
-        expanded_dims([(-2, -3)], 1, 4, 3)
-    with pytest.raises(ValueError):
-        expanded_dims([(-2, -3, -5)], 4, 4, 3)
 
 
 def test_expanded_dims_checks_weyl_divisibility(monkeypatch):
@@ -308,6 +310,22 @@ def test_factor_regions_are_built_once_per_label():
     assert built
     assert [quotient_graded_dim(X, r, 4, 3) for r in range(12)] == first
     assert schur._factor_region.cache_info().misses == built
+
+
+def test_factors_with_l_zero_build_no_region(monkeypatch):
+    # an l = 0 factor is z alone: neither one degree of it nor a Hilbert table builds its region
+    region = schur._factor_region
+    region.cache_clear()
+    asked = []
+    monkeypatch.setattr(schur, "_factor_region", lambda *zl: asked.append(zl) or region(*zl))
+    for z in enumerate_partitions(3, 3):
+        for r in range(z.size - 1, z.size + 2):
+            j_graded_dim(z, 0, r, 4, 3)
+    X = power_gens(2, 3, 3)
+    assert {bool(p.l) for p in zset_general(X).pairs if p.z.size <= 12} == {False, True}
+    quotient_hilbert_table(X, 0, 12, 4, 3)
+    assert asked and all(l for _, l in asked)
+    assert region.cache_info().misses == len(set(asked))
 
 
 def test_factor_dimension_below_size_is_zero():
@@ -352,12 +370,8 @@ def quotient_graded_dim_reference(X, r, m, n):
         raise ValueError(f"need n <= m, got m={m}, n={n}")
     if r < 0:
         return 0
-    outside = [
-        x.parts + (0,) * (n - x.nparts)
-        for x in enumerate_partitions(n, r, size=r)
-        if not member(X, x)
-    ]
-    return sum(dim for _, dim in expanded_dims(outside, n, m, n))
+    outside = [x.parts for x in enumerate_partitions(n, r, size=r) if not member(X, x)]
+    return sum(schur_dim(x, m) * schur_dim(x, n) for x in outside)
 
 
 def quotient_graded_dim_by_labels(X, r, m, n):
