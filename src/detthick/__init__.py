@@ -14,7 +14,6 @@ from .ext import (
     ext_graded,
     ext_map_parts,
     index_tuples,
-    minimal_weight,
 )
 from .ideals import (
     IdealSpec,
@@ -56,7 +55,6 @@ from .schur import (
     quotient_hilbert_table,
     ring_graded_dim,
     schur_dim,
-    weight_expand,
 )
 from .zset import ZPair, ZSet, zset_general, zset_power, zset_symbolic
 
@@ -87,7 +85,6 @@ __all__ = [
     "kodaira_check",
     "leq",
     "member",
-    "minimal_weight",
     "normalize",
     "power_gens",
     "quotient_graded_dim",
@@ -108,7 +105,6 @@ __all__ = [
     "succ_gens",
     "sup",
     "symbolic_gens",
-    "weight_expand",
     "yset_gens",
     "zset_general",
     "zset_power",

@@ -31,7 +31,7 @@ from .kodaira import kodaira_check, sing_codim
 from .partitions import Partition
 from .regularity import KINDS, NEG_INF, reg_power_details, reg_quotient
 from .schur import graded_table_to_json, quotient_hilbert_table
-from .zset import zset_general, zset_power
+from .zset import zset_general
 
 SCHEMA = "detthick/1"
 
@@ -439,10 +439,8 @@ def _cmd_bblsz(args) -> dict:
     args.m, args.n, args.p = 3, 3, 2
     rows = []
     for d in range(1, args.dmax + 1):
-        zs = sorted(
-            (pair.z for pair in zset_power(args.p, d, args.n).pairs if pair.l == 0),
-            key=_bblsz_key,
-        )
+        labels = zset_general(power_gens(args.p, d, args.n)).pairs
+        zs = sorted((pair.z for pair in labels if pair.l == 0), key=_bblsz_key)
         groups: list[list[list[int]]] = []
         for z in zs:
             if not groups or sum(groups[-1][-1]) != z.size:

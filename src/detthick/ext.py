@@ -32,7 +32,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Sequence
 
-from .ideals import IdealSpec, subideal
+from .ideals import IdealSpec, _check_shape, subideal
 from .partitions import Partition
 from .schur import GradedTable, Weight, _bounded, _Region, _run_dims, _walk
 from .zset import ZPair, ZSet, zset_general
@@ -86,7 +86,7 @@ class ExtResult:
 
 
 def _check_label(z: Partition, l: int, m: int, n: int) -> None:
-    # the argument checks of index_tuples, minimal_weight and enumerate_weights
+    # the argument checks of a label and a matrix shape, for index_tuples and enumerate_weights
     if not 1 <= n <= m:
         raise ValueError(f"need 1 <= n <= m, got m={m}, n={n}")
     if z.nparts > n:
@@ -149,20 +149,6 @@ def _region(
     if any(w[i] < w[i + 1] for i in range(n - 1)):
         raise RuntimeError(f"minimal weight {w} for {z}, l={l}, t={t}, s={s} is not dominant")
     return _bounded(tuple(fixed_at), w, tuple(cap_at))
-
-
-def minimal_weight(
-    z: Partition, l: int, t: Sequence[int], s: int, m: int, n: int
-) -> Optional[Weight]:
-    """The size-minimal weight for one chain, or None when the chain is infeasible.
-
-    Infeasible means misshapen, or with no weight in the region of enumerate_weights.
-    """
-    _check_label(z, l, m, n)
-    if l == n:
-        raise ValueError(f"need 0 <= l <= {n - 1}, got l={l}")
-    region = _region(z, l, tuple(t), s, m, n)
-    return None if region is None else region.lower
 
 
 def enumerate_weights(
@@ -288,8 +274,7 @@ def ext_graded(
     With no window given, the window starts at the least degree any chain
     at this j can reach and spans 10 further degrees.
     """
-    if X.n != n:
-        raise ValueError(f"ideal lives in P_{X.n}, not P_{n}")
+    _check_shape(X, m, n)
     _, floors, entries = _ext_index(zset_general(X), m, n)
     if window is None:
         window = _window_from(floors.get(j))
@@ -337,10 +322,9 @@ def ext_map_parts(
     ideal missing from the smaller one, image labels are shared, cokernel
     labels belong to the smaller ideal only.
     """
-    if not subideal(sub, sup):
+    _check_shape(sub, m, n)
+    if not subideal(sub, sup):  # refuses a sup of another P_n
         raise ValueError("first ideal is not contained in the second")
-    if sub.n != n:
-        raise ValueError(f"ideals live in P_{sub.n}, not P_{n}")
     sub_set, sup_set = zset_general(sub), zset_general(sup)
     sub_labels, sub_floors, sub_entries = _ext_index(sub_set, m, n)
     sup_labels, sup_floors, sup_entries = _ext_index(sup_set, m, n)

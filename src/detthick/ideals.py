@@ -155,6 +155,14 @@ def _check_pdn(p: int, d: int, n: int) -> None:
         raise ValueError(f"need d >= 1, got d={d}")
 
 
+def _check_shape(X: IdealSpec, m: int, n: int) -> None:
+    # an ideal of P_n over an m x n matrix, m >= n: checked before any label is computed
+    if X.n != n:
+        raise ValueError(f"ideal lives in P_{X.n}, not P_{n}")
+    if not n <= m:
+        raise ValueError(f"need n <= m, got m={m}, n={n}")
+
+
 def _check_zl(z: Partition, l: int, n: int) -> None:
     # a factor label (z, l): z in P_n, 0 <= l <= n-1 and z_1 = ... = z_{l+1}
     if z.nparts > n:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ext import ExtComponent, _ext_index
-from .ideals import IdealSpec
+from .ideals import IdealSpec, _check_shape
 from .zset import zset_general
 
 
@@ -71,10 +71,9 @@ def kodaira_check(X: IdealSpec, m: int, n: int, jmax: int = 15) -> VanishingRepo
 
     A feasible chain in range that breaks either raises RuntimeError.
     """
-    if not 2 <= n <= m:
-        raise ValueError(f"need 2 <= n <= m, got m={m}, n={n}")
-    if X.n != n:
-        raise ValueError(f"ideal lives in P_{X.n}, not P_{n}")
+    _check_shape(X, m, n)
+    if n < 2:
+        raise ValueError(f"need n >= 2, got n={n}")
     if jmax < 1:
         raise ValueError(f"need jmax >= 1, got {jmax}")
     mn = m * n

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterator, Union
 
-from .ideals import IdealSpec, _check_zl
+from .ideals import IdealSpec, _check_shape, _check_zl
 from .partitions import Partition, enumerate_partitions
 from .zset import zset_general
 
@@ -76,10 +76,7 @@ def reg_quotient(X: IdealSpec, m: int, n: int) -> RegValue:
     The unit ideal gives the zero module, regularity -inf.  The zero ideal
     is rejected (S itself has regularity 0 but no factor labels).
     """
-    if X.n != n:
-        raise ValueError(f"ideal lives in P_{X.n}, not P_{n}")
-    if not n <= m:
-        raise ValueError(f"need n <= m, got m={m}, n={n}")
+    _check_shape(X, m, n)
     if X.is_zero:
         raise ValueError("zero ideal: S/0 = S has regularity 0 but no factor labels")
     if X.is_unit:

@@ -18,24 +18,13 @@ from itertools import combinations
 from math import comb, factorial, prod
 from typing import NamedTuple, Optional, Sequence
 
-from .ideals import IdealSpec
+from .ideals import IdealSpec, _check_shape
 from .partitions import Partition
 from .zset import _LABEL_CACHE_SIZE, zset_general
 
 Weight = tuple[int, ...]
 GradedTable = dict[int, int]
 Run = tuple[Weight, int, int, int]  # head, head total, bottom, top: see _run_dims
-
-
-def _as_weight(lam: Sequence[int], k: int) -> Weight:
-    entries = list(lam)
-    if len(entries) > k:
-        raise ValueError(f"weight {entries} has more than {k} entries")
-    entries += [0] * (k - len(entries))
-    for i in range(k - 1):
-        if entries[i] < entries[i + 1]:
-            raise ValueError(f"weight {entries} is not dominant")
-    return tuple(entries)
 
 
 def schur_dim(lam: Sequence[int], k: int) -> int:
@@ -47,7 +36,12 @@ def schur_dim(lam: Sequence[int], k: int) -> int:
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    w = _as_weight(lam, k)
+    w = list(lam)
+    if len(w) > k:
+        raise ValueError(f"weight {w} has more than {k} entries")
+    w += [0] * (k - len(w))
+    if any(w[i] < w[i + 1] for i in range(k - 1)):
+        raise ValueError(f"weight {w} is not dominant")
     num = 1
     den = 1
     for i in range(k):
@@ -57,28 +51,6 @@ def schur_dim(lam: Sequence[int], k: int) -> int:
     if num % den:
         raise RuntimeError(f"Weyl product for {lam} over GL_{k} is not an integer")
     return num // den
-
-
-def weight_expand(lam: Sequence[int], s: int, m: int, n: int) -> Weight:
-    """Expand a GL_n weight to a GL_m weight by the degree-preserving rule.
-
-    Keeps the first s entries, inserts m-n copies of s-n, and shifts the
-    remaining n-s entries up by m-n.  Requires lam_s >= s-n and
-    lam_{s+1} <= s-m so the result stays dominant; the total is preserved.
-    """
-    if not n <= m:
-        raise ValueError(f"need n <= m, got m={m}, n={n}")
-    if not 0 <= s <= n:
-        raise ValueError(f"need 0 <= s <= {n}, got s={s}")
-    w = _as_weight(lam, n)
-    if s >= 1 and w[s - 1] < s - n:
-        raise ValueError(f"entry {s} of {w} is below {s - n}; expansion not dominant")
-    if s <= n - 1 and w[s] > s - m:
-        raise ValueError(f"entry {s + 1} of {w} is above {s - m}; expansion not dominant")
-    out = w[:s] + (s - n,) * (m - n) + tuple(e + (m - n) for e in w[s:])
-    if sum(out) != sum(w):
-        raise RuntimeError(f"expanding {w} at s={s} to GL_{m} changed its total")
-    return out
 
 
 def _superfactorial(k: int) -> int:
@@ -93,12 +65,14 @@ def _run_dims(
 
     A run (head, head_total, bottom, top) holds head + (v,) + fixed_at[len(head) + 1:] for
     bottom <= v <= top; all heads have one length and agree where fixed_at is not None.
-    With l_i = lam_i - i the expansion keeps every l_i and inserts -n, ..., -m+1 at s: the
+    The expansion of lam at s, its GL_m weight of the same total, keeps lam_1..lam_s, inserts
+    m - n entries s - n and adds m - n to the rest; it is dominant when lam_s >= s - n and
+    lam_{s+1} <= s - m.  With l_i = lam_i - i it keeps every l_i and inserts -n, ..., -m+1: the
     product is V(l)^2 prod_{i<s, n<=q<m} (l_i + q) prod_{i>=s, n<=q<m} (-q - l_i) sf(m-n) /
     (sf(m) sf(n)), V = prod_{i<j} (l_i - l_j), sf(k) = prod_{0<=i<j<k} (j - i).  Factors among
     fixed columns come once per call, a free or varying column's against them and the block once
     per value met, those among a head's free columns once per run.  Every weight is checked for
-    dominance, the bounds of weight_expand and the division (RuntimeError).
+    dominance, the two expansion bounds and the division (RuntimeError).
     """
     if not runs:
         return []
@@ -123,8 +97,9 @@ def _run_dims(
 
     def weigh(col: tuple, x: int, lam: Weight) -> int:
         # a column's product at a value x the call has not met, checked on lam, a
-        # weight with x in that column; the bounds of weight_expand are read on all
-        # of lam, so the call's first miss covers the fixed columns' bounds too
+        # weight with x in that column; the expansion bounds lam_s >= s - n and
+        # lam_{s+1} <= s - m are read on all of lam, so the call's first miss
+        # covers the fixed columns' bounds too
         _, memo, against, block = col
         fx = [g * x + c for g, c in against]
         if fx and min(fx) <= 0:
@@ -308,10 +283,7 @@ def quotient_hilbert_table(X: IdealSpec, lo: int, hi: int, m: int, n: int) -> Gr
     size nothing of degree r lies in I_X, and the dimension is that of the ring (Cauchy's
     identity); those degrees, like the zero and unit ideals, never compute the labels.
     """
-    if X.n != n:
-        raise ValueError(f"ideal lives in P_{X.n}, not P_{n}")
-    if not n <= m:
-        raise ValueError(f"need n <= m, got m={m}, n={n}")
+    _check_shape(X, m, n)
     if lo > hi:
         raise ValueError(f"need lo <= hi, got lo={lo}, hi={hi}")
     least = hi + 1 if X.is_zero else _least_size(X)  # 0 for the unit ideal

@@ -12,7 +12,8 @@ import random
 import time
 from contextlib import contextmanager
 
-from detthick.ext import ext_graded, ext_map_parts, index_tuples, minimal_weight
+from detthick import ext
+from detthick.ext import ext_graded, ext_map_parts
 from detthick.ideals import (
     intersect,
     member,
@@ -36,9 +37,9 @@ from detthick.schur import (
     ring_graded_dim,
     schur_dim,
 )
-from detthick.zset import zset_general, zset_power, zset_symbolic
+from detthick.zset import ZPair, zset_general, zset_power, zset_symbolic
 from detthick.cli import run as cli_run
-from test_schur import quotient_graded_dim_reference
+from oracles import quotient_graded_dim_reference
 
 
 @contextmanager
@@ -230,11 +231,11 @@ def test_criterion_7_ext_regularity_duality():
                         head = {z.part(i) for i in range(1, l + 2)}
                         if len(head) > 1:
                             continue
+                        # the feasible chains and their regions, as the Ext engine holds them
                         best = NEG_INF
-                        for tup in index_tuples(z, l, m, n):
-                            lam = minimal_weight(z, l, tup.t, tup.s, m, n)
-                            if lam is not None:
-                                best = max(best, -sum(lam) - tup.j)
+                        for j, chains in ext._chains_by_j(ZPair(z, l), m, n).items():
+                            for _, region in chains:
+                                best = max(best, -sum(region.lower) - j)
                         assert best == reg_j(z, l, n), (z, l, m, n)
 
 

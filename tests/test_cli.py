@@ -1,7 +1,10 @@
 import argparse
 import json
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +13,8 @@ from detthick.cli import IdealSpecSyntaxError, main, parse_ideal_spec, run
 from detthick.ideals import power_gens, saturate, symbolic_gens
 from detthick.partitions import Partition
 from test_cli_golden import _RENDERED
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_json(argv):
@@ -254,14 +259,20 @@ def test_json_latex_conflict_rejected_before_computing(tmp_path):
 
 
 def test_console_script_installed():
+    # pyproject.toml points the detthick script at cli.main, and the module runs
+    # as a program against the package in src
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    scripts = re.search(r"^\[project\.scripts\]\n((?:[^\[\n].*\n)*)", pyproject, re.M)
+    assert scripts is not None
+    assert re.search(r'^detthick\s*=\s*"detthick\.cli:main"\s*$', scripts.group(1), re.M)
+    argv = ["zset", "--n", "2", "--ideal", "minors:2"]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run(
-        [sys.executable, "-m", "detthick.cli", "zset", "--n", "2", "--ideal", "minors:2"],
-        capture_output=True,
-        text=True,
+        [sys.executable, "-m", "detthick.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
     )
-    if out.returncode != 0 and "No module named" in out.stderr:
-        pytest.skip("module execution not available")
-    assert out.returncode == 0
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == run(argv)
 
 
 def test_m_defaults_to_n():

@@ -26,13 +26,13 @@ from detthick.ext import (
     ext_graded,
     ext_map_parts,
     index_tuples,
-    minimal_weight,
 )
 from detthick.ideals import normalize, power_gens, saturate, symbolic_gens
 from detthick.kodaira import kodaira_check
 from detthick.partitions import Partition
-from detthick.schur import Weight, schur_dim, weight_expand
+from detthick.schur import Weight, schur_dim
 from detthick.zset import ZPair, zset_general, zset_power
+from oracles import components_order_reference, enumerate_weights_reference
 
 
 def test_index_tuples_shape_and_count():
@@ -68,15 +68,24 @@ def test_cohomological_degree():
         assert tup.j == 15 - 1 - 2 * tup.s - 2 * sum(tup.t)
 
 
+def least_weight(
+    z: Partition, l: int, t: Sequence[int], s: int, m: int, n: int
+) -> Optional[Weight]:
+    """The least weight of a chain's region, which the Ext engine reads, or None
+    when the chain is infeasible."""
+    region = ext._region(z, l, tuple(t), s, m, n)
+    return None if region is None else region.lower
+
+
 def test_minimal_weight_worked_cases():
     # top chain for the determinant hypersurface in P_2, m = n = 2
-    lam = minimal_weight(Partition([]), 1, (1,), 1, 2, 2)
+    lam = least_weight(Partition([]), 1, (1,), 1, 2, 2)
     assert lam == (-1, -1)
-    assert minimal_weight(Partition([4, 4, 3]), 0, (0, 0, 0), 0, 3, 3) == (-6, -7, -7)
+    assert least_weight(Partition([4, 4, 3]), 0, (0, 0, 0), 0, 3, 3) == (-6, -7, -7)
     # infeasible: last entry of the chain must reach l when z_l = z_{l+1}
-    assert minimal_weight(Partition([2, 2]), 1, (0, 0), 0, 3, 3) is None
+    assert least_weight(Partition([2, 2]), 1, (0, 0), 0, 3, 3) is None
     # infeasible: s must cover t_1 - z_n
-    assert minimal_weight(Partition([]), 1, (1,), 0, 2, 2) is None
+    assert least_weight(Partition([]), 1, (1,), 0, 2, 2) is None
 
 
 def test_minimal_weight_is_least_total():
@@ -87,7 +96,7 @@ def test_minimal_weight_is_least_total():
         (Partition([1, 1, 1]), 2, (2,), 1, 4, 3),
     ]
     for z, l, t, s, m, n in cases:
-        lam = minimal_weight(z, l, t, s, m, n)
+        lam = least_weight(z, l, t, s, m, n)
         assert lam is not None
         total = sum(lam)
         got = enumerate_weights(z, l, t, s, m, n, total, total)
@@ -99,7 +108,7 @@ def test_minimal_weight_is_least_total():
 def test_enumerate_weights_are_valid_components():
     z = Partition([2, 2])
     for tup in index_tuples(z, 1, 3, 3):
-        lam = minimal_weight(z, 1, tup.t, tup.s, 3, 3)
+        lam = least_weight(z, 1, tup.t, tup.s, 3, 3)
         if lam is None:
             continue
         lo = sum(lam)
@@ -182,7 +191,7 @@ def chains(draw):
 @example((Partition([2, 2, 2]), 1, (0, 1), 0, 3, 3))  # infeasible: t-step above the z-step
 @example((Partition([1, 1, 1]), 2, (2,), 1, 4, 3))
 def test_minimal_weight_matches_reference(args):
-    assert minimal_weight(*args) == minimal_weight_reference(*args)
+    assert least_weight(*args) == minimal_weight_reference(*args)
 
 
 def test_chain_table_holds_only_feasible_chains():
@@ -221,96 +230,6 @@ def test_empty_window_rejected():
             ext_graded(X, j, 3, 3, window=(0, -1))
 
 
-def enumerate_weights_reference(
-    z: Partition,
-    l: int,
-    t: Sequence[int],
-    s: int,
-    m: int,
-    n: int,
-    lo: int,
-    hi: int,
-) -> list[Weight]:
-    """The weight enumeration as first written, with a list accumulator and
-    the caps scanned anew at every step.  The reference the engine must
-    reproduce."""
-    if not 1 <= n <= m:
-        raise ValueError(f"need 1 <= n <= m, got m={m}, n={n}")
-    if not 0 <= l <= n:
-        raise ValueError(f"need 0 <= l <= {n}, got l={l}")
-    _check_label(z, l, m, n)
-    if lo > hi:
-        raise ValueError(f"empty degree window [{lo}, {hi}]")
-    t = tuple(t)
-    k = n - l
-    if len(t) != k:
-        raise ValueError(f"chain {t} should have {k} entries")
-    if not (0 <= s <= (t[0] if k else l)):
-        return []
-    if any(t[i] > t[i + 1] for i in range(k - 1)) or (k and t[-1] > l):
-        return []
-
-    floor = l - z.part(max(l, 1)) - m  # z_0 reads as z_1
-    fixed: dict[int, int] = {}
-    for i in range(1, k + 1):
-        pos = t[i - 1] + i - 1  # 0-based
-        fixed[pos] = t[i - 1] - z.part(n + 1 - i) - m
-
-    lower = [floor] * n
-    for j in range(n):
-        for pos, val in fixed.items():
-            if pos >= j:
-                lower[j] = max(lower[j], val)
-        if j <= s - 1:
-            lower[j] = max(lower[j], s - n)
-    upper_cap = [None] * n  # type: list[Optional[int]]
-    run: Optional[int] = None
-    for j in range(n):
-        if j in fixed:
-            run = fixed[j] if run is None else min(run, fixed[j])
-        cap = run
-        if j >= s and s <= n - 1:
-            cap = s - m if cap is None else min(cap, s - m)
-        upper_cap[j] = cap
-
-    min_rest = [0] * (n + 1)
-    for j in range(n - 1, -1, -1):
-        min_rest[j] = min_rest[j + 1] + lower[j]
-
-    out: list[Weight] = []
-
-    def rec(j: int, prev: Optional[int], partial: int, acc: list[int]) -> None:
-        if j == n:
-            if lo <= partial <= hi:
-                out.append(tuple(acc))
-            return
-        vmax_budget = hi - partial - min_rest[j + 1]
-        caps = [vmax_budget]
-        if prev is not None:
-            caps.append(prev)
-        if upper_cap[j] is not None:
-            caps.append(upper_cap[j])
-        vmax = min(caps)
-        vmin = lower[j]
-        if j in fixed:
-            v = fixed[j]
-            if vmin <= v <= vmax:
-                rec(j + 1, v, partial + v, acc + [v])
-            return
-        for v in range(vmax, vmin - 1, -1):
-            best_rest = partial + v
-            for kk in range(j + 1, n):
-                c = v if upper_cap[kk] is None else min(v, upper_cap[kk])
-                best_rest += c
-            if best_rest < lo:
-                break
-            rec(j + 1, v, partial + v, acc + [v])
-
-    rec(0, None, 0, [])
-    out.sort()
-    return out
-
-
 @st.composite
 def chain_windows(draw):
     """A label (z, l), a chain (t, s) of any shape, m >= n and a degree window."""
@@ -326,7 +245,7 @@ def chain_windows(draw):
     if shaped:
         t.sort()
     s = draw(st.integers(min_value=0, max_value=t[0] if shaped and t else n))
-    w = minimal_weight(z, l, t, s, m, n) if l < n else None
+    w = least_weight(z, l, t, s, m, n) if l < n else None
     if w is not None and draw(st.integers(0, 4)) > 0:
         lo = sum(w) + draw(st.integers(-2, 4))
     else:
@@ -510,27 +429,6 @@ def test_components_sort_by_degree_then_label():
     comps = ext_graded(power_gens(2, 7, 3), 4, 3, 3).components
     assert comps == tuple(sorted(comps, key=lambda c: (c.degree, c.pair.sort_key(), c.s, c.t, c.lam)))
     assert comps != tuple(sorted(comps, key=lambda c: (c.degree, c.s, c.t, c.lam)))
-
-
-def components_order_reference(
-    pairs: Sequence[ZPair], j: int, m: int, n: int, window: Optional[tuple[int, int]]
-) -> tuple[ExtComponent, ...]:
-    """The components at j as first computed: every weight of every chain from
-    the enumeration reference, the expansion and the two Weyl dimensions from
-    weight_expand and schur_dim, and one sort by (degree, pair, s, t, lam).
-    The content and order the engine must reproduce."""
-    if window is None:
-        return ()
-    comps = []
-    for pair in pairs:
-        for tup in index_tuples(pair.z, pair.l, m, n):
-            if tup.j != j:
-                continue
-            for lam in enumerate_weights_reference(pair.z, pair.l, tup.t, tup.s, m, n, *window):
-                big = weight_expand(lam, tup.s, m, n)
-                dim = schur_dim(big, m) * schur_dim(lam, n)
-                comps.append(ExtComponent(pair, tup.s, tup.t, lam, big, sum(lam), dim))
-    return tuple(sorted(comps, key=lambda c: (c.degree, c.pair.sort_key(), c.s, c.t, c.lam)))
 
 
 def table_reference(comps: Sequence[ExtComponent]) -> tuple[tuple[int, int], ...]:

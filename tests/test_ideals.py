@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from detthick import ideals
+from detthick import ext, ideals, kodaira, regularity, schur
 from detthick.ideals import (
     IdealSpec,
     intersect,
@@ -275,3 +275,31 @@ def test_str_and_json():
     d = X.to_json()
     assert d["n"] == 3
     assert sorted(d["gens"]) == [[2, 1, 1], [2, 2]]
+
+
+def _refuse(*args):
+    raise AssertionError("computed before the shape check")
+
+
+# each entry point that takes an (ideal, m, n), at a j or degree range it accepts
+SHAPE_CHECKED = {
+    "ext_graded": lambda X, m, n: ext.ext_graded(X, 4, m, n),
+    "ext_map_parts": lambda X, m, n: ext.ext_map_parts(X, X, 4, m, n),
+    "reg_quotient": regularity.reg_quotient,
+    "kodaira_check": kodaira.kodaira_check,
+    "quotient_hilbert_table": lambda X, m, n: schur.quotient_hilbert_table(X, 0, 5, m, n),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHAPE_CHECKED))
+def test_entry_points_check_the_shape_first(name, monkeypatch):
+    # with the labels and the containment test refusing to run, a matrix with
+    # fewer rows than columns, or an ideal of another P_n, is still a ValueError
+    for mod in (ext, kodaira, regularity, schur):
+        monkeypatch.setattr(mod, "zset_general", _refuse)
+    monkeypatch.setattr(ext, "subideal", _refuse)
+    X = power_gens(2, 3, 3)
+    with pytest.raises(ValueError, match="need n <= m, got m=2, n=3"):
+        SHAPE_CHECKED[name](X, 2, 3)
+    with pytest.raises(ValueError, match="lives in P_3, not P_4"):
+        SHAPE_CHECKED[name](X, 4, 4)

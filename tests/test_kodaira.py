@@ -1,5 +1,4 @@
 import pytest
-from test_ext import components_order_reference
 
 from detthick import ext, kodaira
 from detthick.ext import index_tuples
@@ -7,6 +6,7 @@ from detthick.ideals import IdealSpec, normalize, power_gens, saturate, symbolic
 from detthick.kodaira import VanishingReport, kodaira_check, sing_codim
 from detthick.partitions import Partition
 from detthick.zset import zset_general
+from oracles import components_order_reference
 
 
 def mechanism_reference(X: IdealSpec, m: int, n: int) -> bool:

@@ -1,9 +1,8 @@
 import pytest
 
 from detthick import regularity
-from detthick.ext import index_tuples, minimal_weight
 from detthick.ideals import IdealSpec, normalize, power_gens, symbolic_gens
-from detthick.partitions import Partition, enumerate_partitions
+from detthick.partitions import Partition
 from detthick.regularity import (
     NEG_INF,
     closed_form_valid,
@@ -55,23 +54,6 @@ def test_reg_value_worked_cases():
     for n in range(2, 6):
         for d in range(1, 6):
             assert reg_j(Partition([d, d]), 1, n) == max(2 * d + 1, d + n - 1)
-
-
-def test_reg_value_is_dual_to_minimal_ext_weights():
-    # regularity of one factor equals max over chains of -|minimal weight| - j
-    for n in range(2, 5):
-        for m in (n, n + 1):
-            for z in enumerate_partitions(n, 4):
-                for l in range(0, n):
-                    head = {z.part(i) for i in range(1, l + 2)}
-                    if len(head) > 1:
-                        continue
-                    best = NEG_INF
-                    for tup in index_tuples(z, l, m, n):
-                        lam = minimal_weight(z, l, tup.t, tup.s, m, n)
-                        if lam is not None:
-                            best = max(best, -sum(lam) - tup.j)
-                    assert best == reg_j(z, l, n), (z, l, m, n)
 
 
 def test_reg_quotient_trivial_cases():

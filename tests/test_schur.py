@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from detthick import cli, ext, ideals, schur
-from detthick.ext import enumerate_weights, index_tuples, minimal_weight
+from detthick.ext import enumerate_weights, index_tuples
 from detthick.ideals import IdealSpec, member, normalize, power_gens, succ_gens, symbolic_gens
 from detthick.partitions import Partition, enumerate_partitions, leq
 from detthick.schur import (
@@ -16,9 +16,9 @@ from detthick.schur import (
     quotient_hilbert_table,
     ring_graded_dim,
     schur_dim,
-    weight_expand,
 )
 from detthick.zset import zset_general
+from oracles import quotient_graded_dim_reference, weight_expand
 
 
 def hook_content_dim(lam, k):
@@ -123,10 +123,11 @@ def test_expanded_dims_matches_two_weyl_products(n, d, l, zvals, width):
     vals[:l] = [vals[0]] * l
     z, m = Partition(vals), n + d
     for tup in index_tuples(z, l, m, n):
-        w = minimal_weight(z, l, tup.t, tup.s, m, n)
-        if w is None:
+        region = ext._region(z, l, tup.t, tup.s, m, n)
+        if region is None:
             continue
-        weights = enumerate_weights(z, l, tup.t, tup.s, m, n, sum(w), sum(w) + width)
+        lo = sum(region.lower)
+        weights = enumerate_weights(z, l, tup.t, tup.s, m, n, lo, lo + width)
         got = expanded_dims(weights, tup.s, m, n)
         assert len(got) == len(weights)
         for lam, (expanded, dim) in zip(weights, got):
@@ -360,18 +361,6 @@ def test_quotient_dimension_example():
     # degree 4 loses exactly the two generator shapes
     loss = schur_dim((2, 2), 3) ** 2 + schur_dim((2, 1, 1), 3) ** 2
     assert quotient_graded_dim(X, 4, 3, 3) == ring_graded_dim(4, 3, 3) - loss
-
-
-def quotient_graded_dim_reference(X, r, m, n):
-    """Degree-r dimension of S/I_X: sum of dim(x, m) * dim(x, n) over x outside the ideal."""
-    if X.n != n:
-        raise ValueError(f"ideal lives in P_{X.n}, not P_{n}")
-    if not n <= m:
-        raise ValueError(f"need n <= m, got m={m}, n={n}")
-    if r < 0:
-        return 0
-    outside = [x.parts for x in enumerate_partitions(n, r, size=r) if not member(X, x)]
-    return sum(schur_dim(x, m) * schur_dim(x, n) for x in outside)
 
 
 def quotient_graded_dim_by_labels(X, r, m, n):
