@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -567,6 +566,8 @@ def run(argv: Sequence[str]) -> str:
     if "window" in result:
         request["window"] = result["window"]
     if args.json:
+        import json  # only JSON runs pay for the module
+
         doc = {"schema": SCHEMA, "command": args.command, "request": request, "result": result}
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     render = cmd.latex if args.latex else cmd.text

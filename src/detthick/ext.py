@@ -18,16 +18,16 @@ The weights of each chain's region are walked and priced in runs by
 ``schur._walk`` and one Weyl-product kernel call (``schur._run_dims``) per
 chain.  The components come in (degree, label, s, t, weight) order by
 grouping on degree, since labels, chains and each chain's runs already
-come in that order.  Components and chains are named tuples, the cheapest
-immutable record to build: a component equals the plain tuple of its
-fields, and ``_replace`` stands in for ``dataclasses.replace``.
+come in that order.  Every record here (components, chains, Ext results
+and Ext map parts) is a named tuple, the cheapest immutable record to
+build: it equals the plain tuple of its fields, and ``_replace`` gives a
+copy with some fields changed.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Sequence
@@ -70,8 +70,7 @@ class ExtComponent(NamedTuple):
         }
 
 
-@dataclass(frozen=True)
-class ExtResult:
+class ExtResult(NamedTuple):
     """Components of one Ext module inside a degree window, plus totals."""
 
     j: int
@@ -283,8 +282,7 @@ def ext_graded(
     return ExtResult(j, m, n, window, *_components_for_pairs(entries.get(j, ()), m, n, window))
 
 
-@dataclass(frozen=True)
-class ExtMapPart:
+class ExtMapPart(NamedTuple):
     """One side of an induced Ext map: its labels and their components at j."""
 
     pairs: tuple[ZPair, ...]
@@ -295,8 +293,7 @@ class ExtMapPart:
         return dict(self.table)
 
 
-@dataclass(frozen=True)
-class ExtMapResult:
+class ExtMapResult(NamedTuple):
     """Kernel, image and cokernel data of Ext^j(S/I_super) -> Ext^j(S/I_sub)."""
 
     j: int

@@ -9,34 +9,75 @@ partition combinatorics on that antichain.  The matrix never appears.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from .partitions import EMPTY, Partition, enumerate_partitions, leq, sup
 
 
-@dataclass(frozen=True)
-class IdealSpec:
+class _Frozen:
+    """An immutable record of a rank n and one frozenset: the parts that
+    ``IdealSpec`` and ``ZSet`` share.
+
+    Not a tuple, so it never iterates as its fields.  Two records are equal
+    when they have the same class and equal (n, set), and hash as that pair;
+    both are memo keys, so these compare and hash one stored pair, not a
+    loop over the fields.  Pickling and copying rebuild through the
+    constructor, so a loaded record passes its class's checks again.
+    """
+
+    __slots__ = ("_key",)
+
+    def __init__(self, n: int, items: frozenset) -> None:
+        # a subclass's __slots__ is ("n", the name of its set field)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, self.__slots__[1], items)
+        object.__setattr__(self, "_key", (n, items))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __reduce__(self) -> tuple:
+        return (self.__class__, self._key)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._key))
+        return f"{self.__class__.__name__}({fields})"
+
+
+class IdealSpec(_Frozen):
     """An invariant ideal: the antichain of its minimal generators in P_n.
 
     ``gens == frozenset()`` is the zero ideal (flagged, not an error) and
     ``gens == {empty partition}`` is the unit ideal.
     """
 
+    __slots__ = ("n", "gens")
     n: int
     gens: frozenset[Partition]
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        for g in self.gens:
-            if g.nparts > self.n:
-                raise ValueError(f"generator {g} has more than {self.n} parts")
-        if EMPTY in self.gens and len(self.gens) != 1:
+    def __init__(self, n: int, gens: frozenset[Partition]) -> None:
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
+        for g in gens:
+            if g.nparts > n:
+                raise ValueError(f"generator {g} has more than {n} parts")
+        if EMPTY in gens and len(gens) != 1:
             raise ValueError("the unit ideal must be generated by the empty partition alone")
-        for b, a in _below(self.gens):
+        for b, a in _below(gens):
             if a is not None:
                 raise ValueError(f"generators {a} and {b} are comparable; not an antichain")
+        _Frozen.__init__(self, n, gens)
 
     @classmethod
     def zero(cls, n: int) -> "IdealSpec":

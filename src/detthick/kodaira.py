@@ -11,15 +11,14 @@ chains occur, whose caps bound every total by -mn.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ext import ExtComponent, _ext_index
 from .ideals import IdealSpec, _check_shape
 from .zset import zset_general
 
 
-@dataclass(frozen=True)
-class VanishingReport:
+class VanishingReport(NamedTuple):
     """Outcome of a vanishing scan over all small cohomological indices."""
 
     m: int

@@ -8,18 +8,18 @@ separate from the general algorithm so the two can be checked against each
 other.
 
 A label is a named tuple, ``ZPair(z, l) == (z, l)``.  The labels of one
-ideal form a ``ZSet``, a frozen dataclass, so a label set never iterates
-as its fields.
+ideal form a ``ZSet``, an immutable record that is not a tuple, so a label
+set never iterates as its fields; it equals another ``ZSet`` of the same
+n and pairs, and never the plain pair (n, pairs).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import NamedTuple
 
-from .ideals import IdealSpec, _check_pdn
+from .ideals import IdealSpec, _check_pdn, _Frozen
 from .partitions import Partition, enumerate_partitions
 
 
@@ -39,12 +39,15 @@ class ZPair(NamedTuple):
         return f"({self.z}; l={self.l})"
 
 
-@dataclass(frozen=True)
-class ZSet:
+class ZSet(_Frozen):
     """The full set of factor labels for one ideal."""
 
+    __slots__ = ("n", "pairs")
     n: int
     pairs: frozenset[ZPair]
+
+    def __init__(self, n: int, pairs: frozenset[ZPair]) -> None:
+        _Frozen.__init__(self, n, pairs)
 
     def sorted_pairs(self) -> list[ZPair]:
         return sorted(self.pairs, key=ZPair.sort_key)

@@ -7,6 +7,7 @@ either produced by an in-test brute force or cross-checked against the graded
 dimensions of the quotient.
 """
 
+import copy
 import gc
 import pickle
 import time
@@ -27,11 +28,11 @@ from detthick.ext import (
     ext_map_parts,
     index_tuples,
 )
-from detthick.ideals import normalize, power_gens, saturate, symbolic_gens
+from detthick.ideals import IdealSpec, normalize, power_gens, saturate, symbolic_gens
 from detthick.kodaira import kodaira_check
 from detthick.partitions import Partition
 from detthick.schur import Weight, schur_dim
-from detthick.zset import ZPair, zset_general, zset_power
+from detthick.zset import ZPair, ZSet, zset_general, zset_power
 from oracles import components_order_reference, enumerate_weights_reference
 
 
@@ -344,6 +345,49 @@ def test_ext_records_are_named_tuples():
         "z": [2, 2], "l": 1, "s": 1, "t": [1, 1], "lambda": [8, -3, -5],
         "lambda_expanded": [8, -2, -2, -4], "degree": 0, "dim": "534600",
     }
+
+
+def test_every_record_survives_pickle_and_copy_and_refuses_assignment():
+    X = power_gens(2, 3, 3)
+    Z = zset_general(X)
+    res = ext_graded(X, 6, 4, 3)
+    maps = ext_map_parts(power_gens(2, 7, 3), power_gens(2, 6, 3), 9, 3, 3)
+    report = kodaira_check(X, 3, 3)
+    results = (res, maps, maps.image, report)
+    for rec in (*results, X, Z):
+        for back in (pickle.loads(pickle.dumps(rec)), copy.deepcopy(rec), copy.copy(rec)):
+            assert type(back) is type(rec) and back == rec and hash(back) == hash(rec)
+    # the four result records are named tuples: a plain tuple of their fields
+    for rec in results:
+        first = rec._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(rec, first, None)
+        assert rec == tuple(rec) and getattr(rec._replace(**{first: None}), first) is None
+    assert res._fields == ("j", "m", "n", "window", "components", "table")
+    assert maps._fields == ("j", "m", "n", "window", "kernel", "image", "cokernel")
+    assert maps.image._fields == ("pairs", "components", "table")
+    assert report._fields == (
+        "m", "n", "jmax", "ideal", "k_checked", "violations", "mechanism_ok"
+    )
+    assert report.passed and res.graded() == dict(res.table)
+    # an ideal and a label set are not tuples: they neither iterate nor equal (n, set)
+    for rec, field in ((X, "gens"), (Z, "pairs")):
+        for name in ("n", field):
+            with pytest.raises(AttributeError):
+                setattr(rec, name, None)
+            with pytest.raises(AttributeError):
+                delattr(rec, name)
+        with pytest.raises(TypeError):
+            iter(rec)
+        pair = (rec.n, getattr(rec, field))
+        assert rec != pair and hash(rec) == hash(pair)
+        # loading rebuilds through the constructor, which checks the fields again
+        assert rec.__reduce__() == (type(rec), pair)
+    det = IdealSpec(2, frozenset({Partition([1, 1])}))
+    assert repr(det) == "IdealSpec(n=2, gens=frozenset({Partition([1, 1])}))"
+    labels = zset_general(det)
+    assert repr(labels) == "ZSet(n=2, pairs=frozenset({ZPair(z=Partition([]), l=1)}))"
+    assert ZSet(n=2, pairs=labels.pairs) == labels
 
 
 def test_default_window_starts_at_least_degree():
