@@ -14,14 +14,14 @@ labels with a feasible chain at j, each with its chains.  An Ext module or
 Ext map at j reads only that j's entries, so a label with no chain there
 costs nothing, and a j with no chain at all returns before any walk.
 
-The weights of each chain's region are walked and priced in runs by
-``schur._walk`` and one Weyl-product kernel call (``schur._run_dims``) per
-chain.  The components come in (degree, label, s, t, weight) order by
-grouping on degree, since labels, chains and each chain's runs already
-come in that order.  Every record here (components, chains, Ext results
-and Ext map parts) is a named tuple, the cheapest immutable record to
-build: it equals the plain tuple of its fields, and ``_replace`` gives a
-copy with some fields changed.
+The weights of each chain's region are walked and priced in one recursion,
+``schur._priced``, which builds each component as it reaches its weight.
+The components come in (degree, label, s, t, weight) order by grouping on
+degree, since labels, chains and each chain's weights already come in that
+order.  Every record here (components, chains, Ext results and Ext map
+parts) is a named tuple, the cheapest immutable record to build: it equals
+the plain tuple of its fields, and ``_replace`` gives a copy with some
+fields changed.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .ideals import IdealSpec, _check_shape, subideal
 from .partitions import Partition
-from .schur import GradedTable, Weight, _bounded, _Region, _run_dims, _walk
+from .schur import GradedTable, Weight, _bounded, _priced, _Region
 from .zset import ZPair, ZSet, zset_general
 
 
@@ -160,18 +160,22 @@ def enumerate_weights(
     lo: int,
     hi: int,
 ) -> list[Weight]:
-    """All contributing dominant weights for one chain with lo <= total <= hi.
+    """All contributing dominant weights for one chain with lo <= total <= hi, ascending.
 
     The defining region fixes the entries at positions t_i + i, bounds the
     last entry below by l - z_l - m, and imposes entry_s >= s - n and
     entry_{s+1} <= s - m.  Contradictory constraints give an empty list.
+    The region is walked by the recursion that prices Ext (``schur._priced``),
+    so each weight's Weyl product is computed and checked on the way.
     """
     _check_label(z, l, m, n)
     if lo > hi:
         raise ValueError(f"empty degree window [{lo}, {hi}]")
     region = _region(z, l, tuple(t), s, m, n)
-    runs = [] if region is None else _walk(region, lo, hi)
-    return [h + (v,) + region.fixed_at[len(h) + 1 :] for h, _, b, e in runs for v in range(b, e + 1)]
+    weights: list = []
+    if region is not None:  # one list for every total keeps the walk's order
+        _priced(region, lo, hi, s, m, n, defaultdict(lambda: weights))
+    return [lam for lam, *_ in weights]
 
 
 _CHAIN_CACHE_SIZE = 4096
@@ -234,27 +238,20 @@ def _components_for_pairs(
 ) -> tuple[tuple[ExtComponent, ...], tuple[tuple[int, int], ...]]:
     # the components in (degree, pair, s, t, lam) order and their graded table,
     # from the (label, chains) entries of one j; labels come in sort_key order,
-    # chains in (s, t) order and each chain's runs ascending, so grouping by
+    # chains in (s, t) order and each chain's weights ascending, so grouping by
     # degree is the whole sort
     lo, hi = window
     if lo > hi:
         raise ValueError(f"empty degree window [{lo}, {hi}]")
     by_degree: defaultdict[int, list[ExtComponent]] = defaultdict(list)
     for pair, chains in entries:
-        z, l = pair.z, pair.l
-        zl = z.part(max(l, 1))  # z_0 reads as z_1
+        # a label has z_{l+1} = z_l, so every weight ends in l - z_l - m: each
+        # feasible chain's region fixes its last entry there
+        end = pair.l - pair.z.part(max(pair.l, 1)) - m  # z_0 reads as z_1
         for tup, region in chains:
-            s, t = tup.s, tup.t
-            runs = _walk(region, lo, hi)
-            # a label has z_{l+1} = z_l, so every weight ends in l - z_l - m: the
-            # varying entry of a run when it is the last, else the fixed last entry
-            end = l - zl - m
-            for head, _, bottom, top in runs:
-                ends = (bottom, top) if len(head) == n - 1 else (region.fixed_at[-1],) * 2
-                if ends != (end, end):
-                    raise RuntimeError(f"weights of {pair}, {tup} should end in {end}")
-            for lam, lam_exp, degree, dim in _run_dims(runs, region.fixed_at, s, m, n):
-                by_degree[degree].append(ExtComponent(pair, s, t, lam, lam_exp, degree, dim))
+            if region.fixed_at[-1] != end:
+                raise RuntimeError(f"weights of {pair}, {tup} should end in {end}")
+            _priced(region, lo, hi, tup.s, m, n, by_degree, ExtComponent, (pair, tup.s, tup.t))
     degrees = sorted(by_degree)
     comps = tuple([c for e in degrees for c in by_degree[e]])
     table = tuple([(e, sum([c.dim for c in by_degree[e]])) for e in degrees])

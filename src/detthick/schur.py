@@ -6,13 +6,14 @@ weight by a constant vector never changes the dimension.
 
 A piece of Ext and the Hilbert function of a factor are both Weyl-weighted
 counts of the dominant weights of a region (``_Region``) in a degree window,
-so one walk (``_walk``) and one kernel (``_run_dims``) serve both.  One pricer serves a
-factor in one degree and a Hilbert table: an l = 0 factor is S_z C^m (x) S_z C^n, two Weyl
-products; any other walks its region once, and only those regions are memoised per label.
+so one recursion (``_priced``) serves both, pricing each weight as its walk reaches it.  One
+pricer serves a factor in one degree and a Hilbert table: an l = 0 factor is S_z C^m (x) S_z C^n,
+two Weyl products; any other walks its region once, and only those regions are memoised per label.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial, prod
@@ -24,7 +25,6 @@ from .zset import _LABEL_CACHE_SIZE, zset_general
 
 Weight = tuple[int, ...]
 GradedTable = dict[int, int]
-Run = tuple[Weight, int, int, int]  # head, head total, bottom, top: see _run_dims
 
 
 def schur_dim(lam: Sequence[int], k: int) -> int:
@@ -53,109 +53,17 @@ def schur_dim(lam: Sequence[int], k: int) -> int:
     return num // den
 
 
+@lru_cache(maxsize=64)
 def _superfactorial(k: int) -> int:
     # prod over 0 <= i < j < k of (j - i), the denominator of Weyl's product over GL_k
     return prod(map(factorial, range(k)))
-
-
-def _run_dims(
-    runs: Sequence[Run], fixed_at: Sequence[Optional[int]], s: int, m: int, n: int
-) -> list[tuple[Weight, Weight, int, int]]:
-    """Each weight of the runs, its expansion at s, its total and dim_m(expansion) * dim_n(weight).
-
-    A run (head, head_total, bottom, top) holds head + (v,) + fixed_at[len(head) + 1:] for
-    bottom <= v <= top; all heads have one length and agree where fixed_at is not None.
-    The expansion of lam at s, its GL_m weight of the same total, keeps lam_1..lam_s, inserts
-    m - n entries s - n and adds m - n to the rest; it is dominant when lam_s >= s - n and
-    lam_{s+1} <= s - m.  With l_i = lam_i - i it keeps every l_i and inserts -n, ..., -m+1: the
-    product is V(l)^2 prod_{i<s, n<=q<m} (l_i + q) prod_{i>=s, n<=q<m} (-q - l_i) sf(m-n) /
-    (sf(m) sf(n)), V = prod_{i<j} (l_i - l_j), sf(k) = prod_{0<=i<j<k} (j - i).  Factors among
-    fixed columns come once per call, a free or varying column's against them and the block once
-    per value met, those among a head's free columns once per run.  Every weight is checked for
-    dominance, the two expansion bounds and the division (RuntimeError).
-    """
-    if not runs:
-        return []
-    d, last = m - n, len(runs[0][0])
-    den = _superfactorial(m) * _superfactorial(n)
-    tail = tuple(fixed_at[last + 1 :])
-    first = runs[0][0] + (runs[0][2],) + tail
-    fixed = [i for i, x in enumerate(fixed_at) if x is not None and i != last]
-    free = [i for i in range(last) if fixed_at[i] is None]
-    fixed_pairs = [first[a] - first[b] + b - a for a, b in combinations(fixed, 2)]
-    if fixed_pairs and min(fixed_pairs) <= 0:
-        raise RuntimeError(f"weight {first} is not dominant")
-    const = _superfactorial(d) * prod(fixed_pairs) ** 2
-    # against the block the expansion inserts: l_i + q before it (i < s), -q - l_i after, n <= q < m
-    const *= prod([first[i] - i + q if i < s else i - q - first[i] for i in fixed for q in range(n, m)])
-    # each free column, then the varying one: a memo by value and the factors
-    # g * x + c against the fixed columns and against the block
-    *cols, vcol = [
-        (i, {}, [(1, f - i - first[f]) if i < f else (-1, first[f] + i - f) for f in fixed],
-         [(1, q - i) if i < s else (-1, i - q) for q in range(n, m)]) for i in (*free, last)
-    ]
-
-    def weigh(col: tuple, x: int, lam: Weight) -> int:
-        # a column's product at a value x the call has not met, checked on lam, a
-        # weight with x in that column; the expansion bounds lam_s >= s - n and
-        # lam_{s+1} <= s - m are read on all of lam, so the call's first miss
-        # covers the fixed columns' bounds too
-        _, memo, against, block = col
-        fx = [g * x + c for g, c in against]
-        if fx and min(fx) <= 0:
-            raise RuntimeError(f"weight {lam} is not dominant")
-        if s and lam[s - 1] < s - n:
-            raise RuntimeError(f"entry {s} of {lam} is below {s - n}; expansion not dominant")
-        if s < n and lam[s] > s - m:
-            raise RuntimeError(f"entry {s + 1} of {lam} is above {s - m}; expansion not dominant")
-        w = memo[x] = prod(fx) ** 2 * prod([g * x + c for g, c in block])
-        return w
-
-    vmemo = vcol[1]
-    pairs = [(a, b, b - a) for a, b in combinations(free, 2)]
-    offsets = [(i, last - i) for i in free]  # v against head column i: head[i] + last - i - v
-    pad = (s - n,) * d
-    if s <= last:  # the block goes into the head, before v
-        dv, etail = d, tuple([e + d for e in tail])
-    else:
-        dv, etail = 0, (*tail[: s - last - 1], *pad, *[e + d for e in tail[s - last - 1 :]])
-    tail_total = sum(tail)
-    out = []
-    for head, head_total, bottom, top in runs:
-        fh = [head[a] - head[b] + c for a, b, c in pairs]
-        if fh and min(fh) <= 0:
-            raise RuntimeError(f"weight {head + (bottom,) + tail} is not dominant")
-        p = prod(fh)
-        num = const * p * p
-        for col in cols:  # a product of 0 is recomputed, so `or` is exact
-            num *= col[1].get(head[col[0]]) or weigh(col, head[col[0]], head + (bottom,) + tail)
-        cs = [head[i] + c for i, c in offsets]
-        # v against the entry before it: with the head dominant, against all of it
-        vmax = head[-1] if head else top
-        ehead = (*head[:s], *pad, *[e + d for e in head[s:]]) if d and s <= last else head
-        base = head_total + tail_total
-        for v in range(bottom, top + 1):
-            lam = head + (v,) + tail
-            if v > vmax:
-                raise RuntimeError(f"weight {lam} is not dominant")
-            w = vmemo.get(v) or weigh(vcol, v, lam)
-            g = 1
-            for c in cs:
-                g *= c - v
-            q, r = divmod(num * g * g * w, den)
-            if r:
-                raise RuntimeError(
-                    f"Weyl product for {lam} expanded at s={s} to GL_{m} is not an integer"
-                )
-            out.append((lam, ehead + (v + dv,) + etail if d else lam, base + v, q))
-    return out
 
 
 class _Region(NamedTuple):
     """The dominant weights of one chain or one factor, as bounds on each 0-based entry."""
 
     fixed_at: tuple[Optional[int], ...]  # the value fixed at each position, or None
-    lower: Weight  # least value of each entry; itself the size-minimal weight
+    lower: Weight  # least value of each entry (a fixed one's value); the size-minimal weight
     cap_at: tuple[Optional[int], ...]  # greatest value of each entry, or None
     min_rest: tuple[int, ...]  # min_rest[j]: the least total of entries j onwards
     caps_after: tuple[tuple[int, ...], ...]  # the caps after each entry
@@ -180,48 +88,140 @@ def _bounded(
     return _Region(fixed_at, lower, cap_at, tuple(min_rest), tuple(caps_after), width)
 
 
-def _walk(region: _Region, lo: int, hi: int) -> list[Run]:
-    # the weights of a region with lo <= total <= hi as ascending runs (head, head total, bottom,
-    # top): head + (v,) + tail, bottom <= v <= top, v at the last free position (else the last one)
+def _priced(
+    region: _Region, lo: int, hi: int, s: int, m: int, n: int,
+    into: defaultdict[int, list], cls: type = tuple, fields: tuple = (),
+) -> None:
+    """Walk the weights of a region with lo <= total <= hi, pricing each as the walk reaches it.
+
+    Each weight lam goes into into[total] as tuple.__new__(cls, fields + (lam, lam_expanded,
+    total, dim)), ascending within one call, with dim = dim_m(lam_expanded) * dim_n(lam).
+    The expansion of lam at s, its GL_m weight of the same total, keeps lam_1..lam_s, inserts
+    m - n entries s - n and adds m - n to the rest (lam itself when m = n); it is dominant when
+    lam_s >= s - n and lam_{s+1} <= s - m.  With l_i = lam_i - i it keeps every l_i and inserts
+    -n, ..., -m+1: the product is V(l)^2 prod_{i<s, n<=q<m} (l_i + q) prod_{i>=s, n<=q<m}
+    (-q - l_i) sf(m-n) / (sf(m) sf(n)), V = prod_{i<j} (l_i - l_j), sf(k) = prod_{0<=i<j<k} (j - i).
+
+    The walk branches on the free entries left to right (on the last entry alone when none is
+    free), values ascending, and carries the weight prefix, its expansion and the partial product
+    down: the fixed entries' factors come once per call, a free entry's against them and the block
+    once per value it takes, and each node multiplies in its pairs with the free entries already
+    chosen.  Nothing is set up before the walk knows the window holds a weight.  RuntimeError is
+    raised when the fixed entries, or a new value against them, are not dominant, when an
+    expansion bound fails at a fixed entry or a value first met, and when a division is inexact.
+    """
     fixed_at, lower, cap_at, min_rest, caps_after, width = region
-    if None not in fixed_at:
-        head, v = lower[:-1], lower[-1]
-        return [(head, min_rest[0] - v, v, v)] if lo <= min_rest[0] <= hi else []
-    last = len(fixed_at) - 1 - fixed_at[::-1].index(None)
-    tailsum = min_rest[last + 1]
-    out: list[Run] = []
+    size, d = len(fixed_at), m - n
+    # the walked columns: the free entries, or the last entry when none is free
+    free = [j for j, x in enumerate(fixed_at) if x is None] or [size - 1]
+    k, first, last = len(free), free[0], free[-1]
 
-    # entries left to right: a fixed entry is taken in place, a free one branches
-    # from its cap down until the total can no longer reach lo; the runs come
-    # out in descending order
-    def rec(j: int, prev: int, partial: int, acc: Weight) -> None:
-        while True:
-            vmax = min(hi - partial - min_rest[j + 1], prev)
-            cap = cap_at[j]
-            if cap is not None and cap < vmax:
-                vmax = cap
-            v = fixed_at[j]
-            if v is None:
-                break
-            if not lower[j] <= v <= vmax:
-                return
-            j, prev, partial, acc = j + 1, v, partial + v, acc + (v,)
-        vmin = lower[j]
+    def span(i: int, prev: int, partial: int) -> tuple[int, int]:
+        # the values of column i after entries of this total ending in prev: at most prev, the
+        # cap and what leaves room for the least completion under hi; at least the lower bound
+        # and what lets the greatest completion reach lo, where each later entry is at most
+        # the value and its cap: a concave bound in the value, climbed by its slope
+        j = free[i]
+        top, cap, v = min(prev, hi - partial - min_rest[j + 1]), cap_at[j], lower[j]
+        if cap is not None and cap < top:
+            top = cap
         if j == last:
-            bottom = max(vmin, lo - partial - tailsum)
-            if bottom <= vmax:
-                out.append((acc, partial, bottom, vmax))
-            return
-        caps, wj = caps_after[j], width[j]
-        for v in range(vmax, vmin - 1, -1):
-            if partial + v * wj + sum([c if c < v else v for c in caps]) < lo:
+            return max(v, lo - partial - min_rest[j + 1]), top
+        need, wj, caps = lo - partial, width[j], caps_after[j]
+        while v <= top:
+            short = need - v * wj - sum([c if c < v else v for c in caps])
+            if short <= 0:
                 break
-            rec(j + 1, v, partial + v, acc + (v,))
+            v -= short // -(wj + sum([c > v for c in caps]))
+        return v, top
 
-    rec(0, hi - min_rest[1], 0, ())
+    head = fixed_at[:first]
+    partial = sum(head)
+    if fixed_at[first] is None:
+        a, b = span(0, head[-1] if head else hi - min_rest[1], partial)
+    elif lo <= min_rest[0] <= hi:  # nothing is free: the one weight
+        a = b = fixed_at[first]
+    else:
+        return
+    if a > b:
+        return
+
+    def bound(lam: tuple) -> None:
+        # the expansion bounds lam_s >= s - n and lam_{s+1} <= s - m, on the entries lam holds
+        if 0 < s <= len(lam) and lam[s - 1] is not None and lam[s - 1] < s - n:
+            raise RuntimeError(f"entry {s} of {lam} is below {s - n}; expansion not dominant")
+        if s < len(lam) and lam[s] is not None and lam[s] > s - m:
+            raise RuntimeError(f"entry {s + 1} of {lam} is above {s - m}; expansion not dominant")
+
+    fixed = [j for j, x in enumerate(fixed_at) if x is not None and j != last]
+    fixed_pairs = [fixed_at[e] - fixed_at[f] + f - e for e, f in combinations(fixed, 2)]
+    if fixed_pairs and min(fixed_pairs) <= 0:
+        raise RuntimeError(f"fixed entries {fixed_at} are not dominant")
+    bound(fixed_at)
+    qs = range(n, m)
+    den = _superfactorial(m) * _superfactorial(n)
+    num = _superfactorial(d) * prod(fixed_pairs) ** 2
+    # against the block the expansion inserts: l_i + q before it (i < s), -q - l_i after, n <= q < m
+    num *= prod([fixed_at[j] - j + q if j < s else j - q - fixed_at[j] for j in fixed for q in qs])
+
+    def weigh(j: int, memo: dict, v: int, acc: Weight) -> int:
+        # column j's factor at a new value v: its pairs with the fixed entries and its block factors
+        fx = [fixed_at[f] - v + j - f if f < j else v - fixed_at[f] + f - j for f in fixed]
+        if fx and min(fx) <= 0:
+            raise RuntimeError(f"entry {j + 1} = {v} after {acc} is not dominant against {fixed_at}")
+        if s - 1 <= j <= s:
+            bound(acc + (v,))
+        w = memo[v] = prod(fx) ** 2 * prod([v - j + q if j < s else j - q - v for q in qs])
+        return w
+
+    # the expansion of the fixed entries, None where free, and each column's memo by value, free
+    # columns before it, shift in the expansion and fixed entries after it, their total and expansion
+    grown = (*fixed_at[:s], *(s - n,) * d, *[x if x is None else x + d for x in fixed_at[s:]])
+    ends = [*free, size]
+    cols = [
+        (j, {}, [(f, j - f) for f in free[:i]], d if j >= s else 0, fixed_at[j + 1 : b],
+         sum(fixed_at[j + 1 : b]), grown[j + 1 if j < s else j + 1 + d : b if b < s else b + d])
+        for i, (j, b) in enumerate(zip(ends, ends[1:]))
+    ]
+    ehead = grown[: first if first < s else first + d]
+    new = tuple.__new__
+
+    def rec(
+        i: int, a: int, b: int, partial: int, acc: Weight, eacc: Weight, num: int, lcs: tuple
+    ) -> None:
+        # column i takes each value a..b after the entries acc (expanded: eacc) of this total;
+        # acc is dominant and at least b, so the pairs of a value with the free entries before
+        # it are positive; lcs holds the last column's, c - v for c in lcs
+        j, memo, before, shift, seg, segsum, eseg = cols[i]
+        if i + 1 == k:  # one weight per value
+            partial += segsum
+            for v in range(a, b + 1):
+                w = memo.get(v) or weigh(j, memo, v, acc)  # a product of 0 is recomputed: exact
+                g = 1
+                for c in lcs:
+                    g *= c - v
+                q, r = divmod(num * g * g * w, den)
+                lam = acc + (v,) + seg
+                if r:
+                    raise RuntimeError(f"Weyl product for {lam} at s={s}, m={m} is not an integer")
+                total, big = partial + v, eacc + (v + shift,) + eseg if d else lam
+                into[total].append(new(cls, fields + (lam, big, total, q)))
+            return
+        cs = [acc[f] + c for f, c in before]
+        for v in range(a, b + 1):
+            w = memo.get(v) or weigh(j, memo, v, acc)
+            g = 1
+            for c in cs:
+                g *= c - v
+            total = partial + v + segsum
+            bottom, top = span(i + 1, seg[-1] if seg else v, total)
+            if bottom <= top:
+                nxt = acc + (v,) + seg
+                enxt = eacc + (v + shift,) + eseg if d else nxt
+                rec(i + 1, bottom, top, total, nxt, enxt, num * g * g * w, lcs + (v + last - j,))
+
+    rec(0, a, b, partial, head, ehead, num, ())
     del rec  # the closure holds its own cell: break the cycle
-    out.reverse()
-    return out
 
 
 @lru_cache(maxsize=4096)
@@ -234,14 +234,15 @@ def _factor_region(zs: Weight, l: int) -> _Region:
 def _add_factor(table: GradedTable, zs: Weight, l: int, lo: int, hi: int, m: int, n: int) -> None:
     # add dim(x, m) * dim(x, n) into table[|x|] for each weight x of the factor labeled (zs, l),
     # zs padded to n entries, with lo <= |x| <= hi: an l = 0 factor is zs alone, any other
-    # is its region's walk priced in one kernel call
+    # is its region's walk, priced as it goes
     if not l:
         size = sum(zs)
         if lo <= size <= hi:
             table[size] += schur_dim(zs, m) * schur_dim(zs, n)
         return
-    region = _factor_region(zs, l)
-    for *_, total, dim in _run_dims(_walk(region, lo, hi), region.fixed_at, n, m, n):
+    priced: list = []  # the list of every total
+    _priced(_factor_region(zs, l), lo, hi, n, m, n, defaultdict(lambda: priced))
+    for _, _, total, dim in priced:
         table[total] += dim
 
 

@@ -11,6 +11,7 @@ import copy
 import gc
 import pickle
 import time
+from collections import defaultdict
 from math import comb
 from typing import Optional, Sequence
 
@@ -272,18 +273,17 @@ def test_enumerate_weights_matches_reference(args):
 @given(chain_windows())
 @example((Partition([2, 2, 1, 1]), 2, (2, 2), 2, 4, 4, -10, -4))
 def test_walk_is_strictly_ascending(args):
-    # the walk emits its runs in descending order and reverses them, which
-    # sorts their weights only if every run's weights lie strictly below the
-    # next run's; each run is nonempty and carries its head's total
+    # the pricing walk takes every entry's values in ascending order, so a chain's
+    # weights come strictly ascending, each in the window with its own total
     z, l, t, s, m, n, lo, hi = args
     region = ext._region(z, l, t, s, m, n)
     if region is None:
         return
-    runs = ext._walk(region, lo, hi)
-    weights = []
-    for head, head_total, bottom, top in runs:
-        assert len(head) == len(runs[0][0]) and head_total == sum(head) and bottom <= top
-        weights += [head + (v,) + region.fixed_at[len(head) + 1 :] for v in range(bottom, top + 1)]
+    got = []
+    schur._priced(region, lo, hi, s, m, n, defaultdict(lambda: got))
+    for lam, _, total, _ in got:
+        assert total == sum(lam) and lo <= total <= hi
+    weights = [lam for lam, *_ in got]
     assert all(a < b for a, b in zip(weights, weights[1:]))
 
 
@@ -556,32 +556,39 @@ def test_wide_window_costs_what_its_weights_cost():
 
 
 def test_last_entry_check_raises(monkeypatch):
-    # when z_{l+1} = z_l every weight must end in l - z_l - m; a walk that
-    # lowers the last entry where it emits it, as the varying entry of a run,
-    # breaks that.  At j = 9 the labels with l = 0 have chains that fix every
-    # entry, whose one run varies the last entry
-    walk = ext._walk
-    monkeypatch.setattr(
-        ext,
-        "_walk",
-        lambda *a: [(h, ht, b - 1, e - 1) if len(h) == 2 else (h, ht, b, e) for h, ht, b, e in walk(*a)],
-    )
+    # when z_{l+1} = z_l every weight must end in l - z_l - m, where each feasible
+    # chain's region fixes the last entry; an index whose regions fix it one lower
+    # breaks that
+    real = ext._ext_index
+
+    def index(zs, m, n):
+        labels, floors, entries = real(zs, m, n)
+        lower = lambda r: r._replace(fixed_at=r.fixed_at[:-1] + (r.fixed_at[-1] - 1,))
+        return labels, floors, {
+            j: [(pair, tuple((tup, lower(r)) for tup, r in chains)) for pair, chains in rows]
+            for j, rows in entries.items()
+        }
+
+    monkeypatch.setattr(ext, "_ext_index", index)
     with pytest.raises(RuntimeError, match="should end in"):
         ext_graded(power_gens(2, 7, 3), 9, 3, 3)
 
 
 def test_walks_leave_no_cyclic_garbage():
-    # the recursive closure of _walk holds its own cell; with the name deleted
-    # after the top-level call, reference counting frees a walk of a chain's
-    # region and of a factor's
+    # the recursive closure of the pricing walk holds its own cell; with the name
+    # deleted after the top-level call, reference counting frees what a walk of a
+    # chain's region (one free entry) and of a factor's (two) leaves
     region = ext._region(Partition([2, 2]), 1, (0, 1), 0, 3, 3)  # entry 1 is free
     assert region.fixed_at == (-3, None, -4)
     factor = schur._factor_region((3, 2, 1, 0), 2)
+    chain_weights, factor_weights = [], []
     gc.collect()
     gc.disable()
     try:
-        assert schur._walk(region, -100, 0) == [((-3,), -3, -4, -3)]
-        assert schur._walk(factor, 9, 9)
+        schur._priced(region, -100, 0, 0, 3, 3, defaultdict(lambda: chain_weights))
+        schur._priced(factor, 9, 9, 4, 4, 4, defaultdict(lambda: factor_weights))
+        assert [lam for lam, *_ in chain_weights] == [(-3, -4, -4), (-3, -3, -4)]
+        assert factor_weights
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -681,7 +688,7 @@ def test_index_empty_degree_walks_nothing(monkeypatch):
     def walk(*args):
         raise AssertionError("a degree with no feasible chain walked a region")
 
-    monkeypatch.setattr(ext, "_walk", walk)
+    monkeypatch.setattr(ext, "_priced", walk)
     assert ext_graded(sub, 7, 3, 3) == ext.ExtResult(7, 3, 3, None, (), ())
     got = ext_map_parts(sub, sup, 7, 3, 3)
     assert got.window is None

@@ -141,5 +141,5 @@ def test_kodaira_walks_no_weights(monkeypatch):
     def walk(*args):
         raise AssertionError("kodaira_check walked a weight region")
 
-    monkeypatch.setattr(ext, "_walk", walk)
+    monkeypatch.setattr(ext, "_priced", walk)
     assert kodaira_check(X, 3, 3) == warm

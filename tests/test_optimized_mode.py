@@ -1,8 +1,8 @@
 """The correctness checks hold under ``python -O``, which strips every ``assert``.
 
 One ``python -O`` subprocess computes the worked 3 x 3 Ext slice, runs the
-Weyl-product kernel on weights and runs that break each of its checks, feeds
-the Ext components a run walker whose weights break the last-entry check,
+pricing walk on weights and hand-built regions that break each of its checks,
+feeds the Ext components an index whose regions break the last-entry check,
 feeds the Kodaira check an Ext index whose in-range chain breaks its cap
 check, and prints what it saw as one JSON line.
 """
@@ -16,6 +16,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 SCRIPT = r"""
 import json, sys
+from collections import defaultdict
 from detthick import ext, kodaira, schur
 from detthick.ext import ext_graded
 from detthick.ideals import power_gens
@@ -29,10 +30,15 @@ def raises(*call):
     return False
 
 
+def priced(fixed_at, lower, cap_at, lo, hi, s, m):
+    # the pricing walk on a hand-built GL_3 region in the degrees lo..hi
+    region = schur._bounded(fixed_at, lower, cap_at)
+    return raises(schur._priced, region, lo, hi, s, m, 3, defaultdict(list))
+
+
 def one_weight(lam, s, m):
-    # the Weyl-product kernel on one GL_3 weight, a run of its own with every entry free
-    run = (lam[:-1], sum(lam) - lam[-1], lam[-1], lam[-1])
-    return raises(schur._run_dims, [run], (None,) * 3, s, m, 3)
+    # one GL_3 weight, a region of its own with every entry fixed
+    return priced(lam, lam, lam, sum(lam), sum(lam), s, m)
 
 
 res = ext_graded(power_gens(2, 7, 3), 9, 3, 3, window=(-22, -22))
@@ -43,27 +49,30 @@ out = {
     "dominance": one_weight((-2, -4, -3), 1, 4),
     "expansion_below": one_weight((-4, -5, -6), 1, 4),
     "expansion_above": one_weight((0, 0, -6), 1, 4),
-    # runs of (5, v, 0) with the first and last columns fixed: only the
-    # varying middle column against the fixed last breaks dominance, at a
-    # value met after the memo has served 3 once
-    "dominance_free_fixed": raises(
-        schur._run_dims, [((5,), 5, 2, 3), ((5,), 5, 3, 3), ((5,), 5, -1, -1)], (5, None, 0), 3, 3, 3
-    ),
-    # one run (5, 3, v), v = 3, 4: the second weight breaks dominance against the head
-    "dominance_last_head": raises(schur._run_dims, [((5, 3), 8, 3, 4)], (None,) * 3, 3, 3, 3),
-    # at s = 3 the varying last entry must be >= 0; the second run's is not
-    "expansion_varying": raises(
-        schur._run_dims, [((5, 3), 8, 0, 1), ((5, 3), 8, -1, -1)], (None,) * 3, 3, 3, 3
-    ),
+    # (v, w, 0) in degrees 4 and 5: w takes 2, then 1 and 2, then 0 and 1, and
+    # only then -1, which breaks dominance against the fixed last entry
+    "dominance_free_fixed": priced((None, None, 0), (2, -1, 0), (None, None, 0), 4, 5, 3, 3),
+    # a fixed entry above the fixed entry before it, after a free one: raised, not pruned
+    "dominance_last_head": priced((None, 3, 4), (4, 3, 4), (None, 3, 4), 11, 11, 3, 3),
+    # (5, v, w) in degree 9: at s = 3 the last entry must be >= 0, and w falls
+    # 2, 1, 0 before it reaches -1
+    "expansion_varying": priced((5, None, None), (5, 2, -1), (5, None, None), 9, 9, 3, 3),
 }
-# a run walker that lowers the last entry of every weight where it emits it;
-# at j = 9 the chains with l = 0 vary the last entry
-walk = ext._walk
-ext._walk = lambda *a: [(h, ht, b - 1, e - 1) if len(h) == 2 else (h, ht, b, e) for h, ht, b, e in walk(*a)]
+# an index whose regions fix the last entry one below l - z_l - m
+index = ext._ext_index
+
+
+def lower_last(*a):
+    labels, floors, entries = index(*a)
+    lower = lambda r: r._replace(fixed_at=r.fixed_at[:-1] + (r.fixed_at[-1] - 1,))
+    lowered = lambda rows: [(pair, tuple((tup, lower(r)) for tup, r in c)) for pair, c in rows]
+    return labels, floors, {j: lowered(rows) for j, rows in entries.items()}
+
+
+ext._ext_index = lower_last
 out["last_entry"] = raises(ext_graded, power_gens(2, 7, 3), 9, 3, 3)
-ext._walk = walk
+ext._ext_index = index
 # power:2:2 over 3 x 3 has one in-range chain, at j = 6; lift its first cap above -m
-index = kodaira._ext_index
 
 
 def lift_first_cap(*a):

@@ -1,4 +1,5 @@
 import json
+from collections import defaultdict
 from fractions import Fraction
 from math import comb
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from detthick import cli, ext, ideals, schur
-from detthick.ext import enumerate_weights, index_tuples
+from detthick.ext import enumerate_weights, ext_graded, index_tuples
 from detthick.ideals import IdealSpec, member, normalize, power_gens, succ_gens, symbolic_gens
 from detthick.partitions import Partition, enumerate_partitions, leq
 from detthick.schur import (
@@ -18,7 +19,7 @@ from detthick.schur import (
     schur_dim,
 )
 from detthick.zset import zset_general
-from oracles import quotient_graded_dim_reference, weight_expand
+from oracles import enumerate_weights_reference, quotient_graded_dim_reference, weight_expand
 
 
 def hook_content_dim(lam, k):
@@ -94,11 +95,22 @@ def test_weight_expand_boundary_violations():
         weight_expand((0, 0, -6), 1, 4, 3)  # lam_2 > 1-4
 
 
-def expanded_dims(weights, s, m, n):
-    """Each GL_n weight's expansion at s with dim_m(expansion) * dim_n(weight), from the
-    kernel with every entry free and each weight a run of its own."""
-    runs = [(lam[:-1], sum(lam) - lam[-1], lam[-1], lam[-1]) for lam in weights]
-    return [(big, dim) for _, big, _, dim in schur._run_dims(runs, (None,) * n, s, m, n)]
+def priced(region, lo, hi, s, m, n):
+    """The (weight, expansion, total, dim) records of a region's weights in [lo, hi], in the
+    order the pricing walk reaches them: every total's list is the same list."""
+    got = []
+    schur._priced(region, lo, hi, s, m, n, defaultdict(lambda: got))
+    return got
+
+
+def price_alone(weights, s, m, n):
+    """Each GL_n weight's expansion at s with dim_m(expansion) * dim_n(weight), each weight
+    priced as a region of its own with every entry fixed."""
+    out = []
+    for lam in weights:
+        [(_, big, _, dim)] = priced(schur._bounded(lam, lam, lam), sum(lam), sum(lam), s, m, n)
+        out.append((big, dim))
+    return out
 
 
 @settings(max_examples=150, deadline=None)
@@ -113,11 +125,9 @@ def expanded_dims(weights, s, m, n):
 @example(n=4, d=2, l=3, zvals=[2, 2, 2, 1, 0], width=6)  # m - n = 2, l = n - 1
 @example(n=4, d=3, l=0, zvals=[3, 1, 1, 0, 0], width=6)
 @example(n=5, d=0, l=4, zvals=[1, 1, 1, 1, 0], width=6)
-# the chain t = (2, 2) at s = 2 frees the first two columns, and the first
-# repeats its values across weights: (-1, -2, -3, -3), (-1, -1, -3, -3), ...
 @example(n=4, d=0, l=2, zvals=[2, 2, 1, 1, 0], width=6)
-def test_expanded_dims_matches_two_weyl_products(n, d, l, zvals, width):
-    # every weight of every feasible chain of a label (z, l), batched per chain
+def test_each_weight_priced_alone_matches_two_weyl_products(n, d, l, zvals, width):
+    # every weight of every feasible chain of a label (z, l), each priced alone
     l = min(l, n - 1)
     vals = sorted(zvals[:n], reverse=True)
     vals[:l] = [vals[0]] * l
@@ -128,7 +138,7 @@ def test_expanded_dims_matches_two_weyl_products(n, d, l, zvals, width):
             continue
         lo = sum(region.lower)
         weights = enumerate_weights(z, l, tup.t, tup.s, m, n, lo, lo + width)
-        got = expanded_dims(weights, tup.s, m, n)
+        got = price_alone(weights, tup.s, m, n)
         assert len(got) == len(weights)
         for lam, (expanded, dim) in zip(weights, got):
             oracle = weight_expand(lam, tup.s, m, n)
@@ -136,109 +146,117 @@ def test_expanded_dims_matches_two_weyl_products(n, d, l, zvals, width):
             assert dim == schur_dim(oracle, m) * schur_dim(lam, n)
 
 
-def test_expanded_dims_of_partitions_pads_with_zeros():
+def test_pricing_partitions_pads_with_zeros():
     # at s = n the expansion only appends zeros: the path of the quotient dimensions
     for m, n in [(3, 3), (5, 3), (6, 4)]:
         xs = [x.parts + (0,) * (n - x.nparts) for x in enumerate_partitions(n, 4, size=4)]
-        for x, (expanded, dim) in zip(xs, expanded_dims(xs, n, m, n)):
+        for x, (expanded, dim) in zip(xs, price_alone(xs, n, m, n)):
             assert expanded == x + (0,) * (m - n)
             assert dim == schur_dim(x, m) * schur_dim(x, n)
-    assert expanded_dims([], 1, 4, 3) == []
 
 
-def test_expanded_dims_rejects_non_dominant_weights():
-    # the bounds of weight_expand at s = 1 hold; the weight is not dominant
+def test_pricing_rejects_non_dominant_weights():
+    # the bounds of weight_expand at s = 1 hold; the last entry is above the one before it
     with pytest.raises(RuntimeError, match="not dominant"):
-        expanded_dims([(-2, -4, -3)], 1, 4, 3)
-    # the same, in a free column of a batch whose first column is fixed
+        price_alone([(-2, -4, -3)], 1, 4, 3)
+    # two fixed entries out of order (5 - 6 + 1 = 0), whatever the walked entry
     with pytest.raises(RuntimeError, match="not dominant"):
-        expanded_dims([(-2, -3, -5), (-2, -4, -3)], 1, 4, 3)
-    # the head of the second weight's run breaks it (5 - 6 + 1 = 0)
+        price_alone([(5, 6, 0)], 3, 3, 3)
+    # a free entry whose least value -6 is below the fixed entry after it
+    region = schur._bounded((-3, None, -5), (-3, -6, -5), (-3, -3, -5))
+    assert [lam for lam, *_ in priced(region, -13, -12, 0, 3, 3)] == [(-3, -5, -5), (-3, -4, -5)]
     with pytest.raises(RuntimeError, match="not dominant"):
-        expanded_dims([(5, 3, 0), (5, 6, 0)], 3, 3, 3)
+        priced(region, -14, -12, 0, 3, 3)
 
 
-def test_run_kernel_checks_each_new_value_of_a_free_column():
-    # runs (5, v, 0) with the middle column varying and the others fixed; 3 is
-    # met twice, and -1 breaks dominance only against the fixed last column
-    # (-1 - 0 + 1 = 0), which only the column's memo checks
-    runs = [((5,), 5, 3, 3), ((5,), 5, 2, 3)]
-    got = schur._run_dims(runs, (5, None, 0), 3, 3, 3)
-    assert [lam for lam, _, _, _ in got] == [(5, 3, 0), (5, 2, 0), (5, 3, 0)]
-    assert [dim for *_, dim in got] == [schur_dim(lam, 3) ** 2 for lam, _, _, _ in got]
+def test_pricing_checks_each_new_value_of_a_free_entry():
+    # two free entries before a fixed 0, totals 4 and 5: the second entry takes 2, then
+    # 1 and 2 (a memo hit), then 0 and 1, ...; with its least value -1 it meets -1 only
+    # after those, and -1 breaks dominance only against the fixed last entry
+    # (-1 - 0 + 1 = 0), which only that entry's memo checks
+    region = schur._bounded((None, None, 0), (2, 0, 0), (None, None, 0))
+    got = priced(region, 4, 5, 3, 3, 3)
+    assert [lam for lam, *_ in got] == [
+        (2, 2, 0), (3, 1, 0), (3, 2, 0), (4, 0, 0), (4, 1, 0), (5, 0, 0)
+    ]
+    assert [dim for *_, dim in got] == [schur_dim(lam, 3) ** 2 for lam, *_ in got]
     with pytest.raises(RuntimeError, match="not dominant"):
-        schur._run_dims(runs + [((5,), 5, -1, -1)], (5, None, 0), 3, 3, 3)
+        priced(schur._bounded((None, None, 0), (2, -1, 0), (None, None, 0)), 4, 5, 3, 3, 3)
 
 
-def test_run_kernel_checks_every_weight_of_a_run():
-    # a weight met after valid ones breaks a check that reads the varying entry:
-    # dominance against the head (a run's second weight), the bound of
-    # weight_expand at s = 3, entry 3 >= 0 (the second run's first weight), and
-    # at s = 2 with m = 4, entry 3 <= -2 (a run's second weight)
-    with pytest.raises(RuntimeError, match="not dominant"):
-        schur._run_dims([((5, 3), 8, 3, 4)], (None,) * 3, 3, 3, 3)
-    with pytest.raises(RuntimeError, match="below"):
-        schur._run_dims([((5, 3), 8, 0, 1), ((5, 3), 8, -1, 0)], (None,) * 3, 3, 3, 3)
+def test_pricing_checks_every_weight():
+    # a weight met after valid ones breaks a bound of weight_expand: at s = 2 with
+    # m = 4, entry 3 <= -2 (the last entry climbs -3, -2, -1), and at s = 3, entry
+    # 3 >= 0 (in degree 9 after 5, the last entry falls 2, 1, 0, -1)
+    region = schur._bounded((0, -1, None), (0, -1, -3), (0, -1, None))
     with pytest.raises(RuntimeError, match="above"):
-        schur._run_dims([((0, -1), -1, -2, -1)], (None,) * 3, 2, 4, 3)
-    assert schur._run_dims([], (None,) * 3, 2, 4, 3) == []
-
-
-def test_run_kernel_checks_the_fixed_columns():
-    # every weight shares the fixed columns, so they are checked once per call:
-    # for dominance (3 - 5 + 1 < 0) and for each bound of weight_expand
-    with pytest.raises(RuntimeError, match="not dominant"):
-        schur._run_dims([((), 0, 7, 7)], (None, 3, 5), 3, 3, 3)
+        priced(region, -4, -2, 2, 4, 3)
+    assert [lam for lam, *_ in priced(region, -4, -3, 2, 4, 3)] == [(0, -1, -3), (0, -1, -2)]
+    region = schur._bounded((5, None, None), (5, 2, 0), (5, None, None))
+    assert [lam for lam, *_ in priced(region, 9, 9, 3, 3, 3)] == [(5, 2, 2), (5, 3, 1), (5, 4, 0)]
     with pytest.raises(RuntimeError, match="below"):
-        schur._run_dims([((), 0, 9, 9)], (None, 3, -1), 3, 3, 3)
+        priced(schur._bounded((5, None, None), (5, 2, -1), (5, None, None)), 9, 9, 3, 3, 3)
+
+
+def test_pricing_checks_the_fixed_entries():
+    # every weight shares the fixed entries, so they are checked once per call, when the
+    # window holds a weight: for dominance (3 - 5 + 1 < 0) and for each bound of weight_expand
+    with pytest.raises(RuntimeError, match="not dominant"):
+        priced(schur._bounded((None, 3, 5), (7, 3, 5), (None, 3, 5)), 15, 15, 3, 3, 3)
+    with pytest.raises(RuntimeError, match="below"):
+        priced(schur._bounded((None, 3, -1), (9, 3, -1), (None, 3, -1)), 11, 11, 3, 3, 3)
     with pytest.raises(RuntimeError, match="above"):
-        schur._run_dims([((), 0, 0, 0)], (None, -1, -4), 1, 4, 3)
+        priced(schur._bounded((None, -1, -4), (0, -1, -4), (None, -1, -4)), -5, -5, 1, 4, 3)
+    assert priced(schur._bounded((None, 3, 5), (7, 3, 5), (None, 3, 5)), 10, 14, 3, 3, 3) == []
 
 
-def run_kernel_shapes(n, d, l, zvals, width):
-    """Check the run kernel against weight_expand and two schur_dim calls on
-    every weight of every run it gets for a label (z, l): the runs of each
-    feasible chain, in a window of the given width from the chain's least
-    degree, and the runs of the factor's Hilbert function in as many degrees.
-    Return the shapes met: s before, at, just after or past the varying
-    column (-1, 0, 1, 2), m - n, runs of two or more weights, chains with no
-    free column."""
+def pricing_shapes(n, d, l, zvals, width):
+    """Check the pricing walk against the reference weights, weight_expand and two
+    schur_dim calls on every weight it reaches for a label (z, l): the weights of each
+    feasible chain, in a window of the given width from the chain's least degree, and the
+    weights of the factor's Hilbert function in as many degrees.  Return the shapes met:
+    s before, at, just after or past the last walked entry (-1, 0, 1, 2), m - n, two or
+    more weights after one prefix, chains with no free entry."""
     l = min(l, n - 1)
     vals = sorted(zvals[:n], reverse=True)
     vals[:l] = [vals[0]] * l
     z, m = Partition(vals), n + d
     met = set()
 
-    def check(runs, fixed_at, s):
-        got = schur._run_dims(runs, fixed_at, s, m, n)
-        if not runs:
-            return
-        tail = fixed_at[len(runs[0][0]) + 1 :]
-        assert [lam for lam, _, _, _ in got] == [
-            head + (v,) + tail for head, _, bottom, top in runs for v in range(bottom, top + 1)
-        ]
+    def check(region, lo, hi, s, want):
+        got = priced(region, lo, hi, s, m, n)
+        lams = [lam for lam, *_ in got]
+        assert lams == want
         for lam, expanded, total, dim in got:
             oracle = weight_expand(lam, s, m, n)
             assert expanded == oracle and total == sum(lam)
             assert dim == schur_dim(oracle, m) * schur_dim(lam, n)
-        met.update({("s", max(-1, min(s - len(runs[0][0]), 2))), ("d", d)})
-        if any(bottom < top for _, _, bottom, top in runs):
+        if not got:
+            return
+        walked = max([j for j, x in enumerate(region.fixed_at) if x is None], default=n - 1)
+        met.update({("s", max(-1, min(s - walked, 2))), ("d", d)})
+        if any(a[:walked] == b[:walked] for a, b in zip(lams, lams[1:])):
             met.add("long run")
 
     for tup in index_tuples(z, l, m, n):
         region = ext._region(z, l, tup.t, tup.s, m, n)
         if region is not None:
             lo = sum(region.lower)
-            check(ext._walk(region, lo, lo + width), region.fixed_at, tup.s)
+            want = enumerate_weights_reference(z, l, tup.t, tup.s, m, n, lo, lo + width)
+            check(region, lo, lo + width, tup.s, want)
             if None not in region.fixed_at:
                 met.add("no free column")
     region = schur._factor_region(tuple(vals), l)
     for r in range(z.size, z.size + width + 1):
-        check(schur._walk(region, r, r), region.fixed_at, n)
+        want = sorted(
+            [x.parts + (0,) * (n - x.nparts) for x in enumerate_partitions(n, r, size=r)
+             if leq(z, x) and all(x.part(i) == z.part(i) for i in range(l + 1, n + 1))]
+        )
+        check(region, r, r, n, want)
     return met
 
 
-RUN_KERNEL_CASES = [
+PRICING_CASES = [
     (4, 0, 2, [2, 2, 1, 1, 0], 6),
     (4, 2, 3, [2, 2, 2, 1, 0], 6),
     (5, 3, 2, [3, 3, 1, 0, 0], 4),
@@ -246,8 +264,8 @@ RUN_KERNEL_CASES = [
 ]
 
 
-def test_run_kernel_cases_cover_every_shape():
-    met = set().union(*[run_kernel_shapes(*case) for case in RUN_KERNEL_CASES])
+def test_pricing_cases_cover_every_shape():
+    met = set().union(*[pricing_shapes(*case) for case in PRICING_CASES])
     shapes = {("s", k) for k in (-1, 0, 1, 2)} | {"long run", "no free column"}
     assert shapes <= met and {("d", 0), ("d", 2), ("d", 3)} <= met
 
@@ -260,22 +278,49 @@ def test_run_kernel_cases_cover_every_shape():
     zvals=st.lists(st.integers(0, 4), min_size=5, max_size=5),
     width=st.integers(min_value=0, max_value=6),
 )
-def test_run_kernel_matches_two_weyl_products(n, d, l, zvals, width):
-    run_kernel_shapes(n, d, l, zvals, width)
+def test_pricing_matches_two_weyl_products(n, d, l, zvals, width):
+    pricing_shapes(n, d, l, zvals, width)
 
 
-def test_expanded_dims_rejects_weights_that_do_not_expand():
+def test_pricing_rejects_weights_that_do_not_expand():
     for m in (3, 4):
         with pytest.raises(RuntimeError, match="below"):
-            expanded_dims([(-4, -5, -6)], 1, m, 3)  # lam_1 < 1 - n
+            price_alone([(-4, -5, -6)], 1, m, 3)  # lam_1 < 1 - n
         with pytest.raises(RuntimeError, match="above"):
-            expanded_dims([(-2, -3, -5), (0, 0, -6)], 1, m, 3)  # lam_2 > 1 - m
+            price_alone([(0, 0, -6)], 1, m, 3)  # lam_2 > 1 - m
 
 
-def test_expanded_dims_checks_weyl_divisibility(monkeypatch):
+def test_pricing_checks_weyl_divisibility(monkeypatch):
     monkeypatch.setattr(schur, "_superfactorial", lambda k: 7**k)
     with pytest.raises(RuntimeError, match="not an integer"):
-        expanded_dims([(0, 0, 0)], 3, 3, 3)
+        price_alone([(0, 0, 0)], 3, 3, 3)
+
+
+def test_empty_windows_do_no_pricing_setup(monkeypatch):
+    # a window or a degree that holds no weight returns before the superfactorials:
+    # an Ext window above every chain's weights at a j with chains, and a factor with
+    # l >= 1 one degree below its least
+    calls = []
+    real = schur._priced
+
+    def spy(*args):
+        calls.append(args[:3])
+        return real(*args)
+
+    def no_setup(k):
+        raise AssertionError("an empty window set up its pricing")
+
+    X = power_gens(2, 7, 3)
+    ext_graded(X, 9, 3, 3)  # the labels and chains, memoised before the patch
+    monkeypatch.setattr(schur, "_superfactorial", no_setup)
+    monkeypatch.setattr(ext, "_priced", spy)
+    monkeypatch.setattr(schur, "_priced", spy)
+    res = ext_graded(X, 9, 3, 3, window=(0, 10))
+    assert res.components == () and res.table == ()
+    assert calls
+    calls.clear()
+    assert j_graded_dim(Partition([2, 2]), 1, 3, 4, 3) == 0
+    assert calls == [(schur._factor_region((2, 2, 0), 1), 3, 3)]
 
 
 def factor_dim_oracle(z, l, r, m, n):
@@ -480,12 +525,12 @@ def test_hilbert_walks_each_label_once(monkeypatch):
     X, rmax = power_gens(2, 3, 3), 9
     walks = []
 
-    def spy(region, lo, hi):
+    def spy(region, lo, hi, *args):
         walks.append((region, lo, hi))
-        return walk(region, lo, hi)
+        return walk(region, lo, hi, *args)
 
-    walk = schur._walk
-    monkeypatch.setattr(schur, "_walk", spy)
+    walk = schur._priced
+    monkeypatch.setattr(schur, "_priced", spy)
     doc = cli.run(["hilbert", "--m", "4", "--n", "3", "--ideal", "power:2:3", "--rmax", str(rmax), "--json"])
     walked = [p for p in zset_general(X).pairs if p.l and p.z.size <= rmax]
     assert walked
