@@ -6,9 +6,12 @@ weight by a constant vector never changes the dimension.
 
 A piece of Ext and the Hilbert function of a factor are both Weyl-weighted
 counts of the dominant weights of a region (``_Region``) in a degree window,
-so one recursion (``_priced``) serves both, pricing each weight as its walk reaches it.  One
-pricer serves a factor in one degree and a Hilbert table: an l = 0 factor is S_z C^m (x) S_z C^n,
-two Weyl products; any other walks its region once, and only those regions are memoised per label.
+so one recursion (``_priced``) serves both, pricing each weight as its walk reaches it.  What
+does not depend on the window, a region's plan (``_plan``: its fixed entries' factors and checks
+and each column's per-value factors), is built once per region, s, m and n and serves every later
+walk, and a walk sets each free entry in place on one mutable weight.  One pricer serves a factor
+in one degree and a Hilbert table: an l = 0 factor is S_z C^m (x) S_z C^n, two Weyl products; any
+other walks its region once, and only those regions are memoised per label.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from collections import defaultdict
 from functools import lru_cache
 from itertools import combinations
-from math import comb, factorial, prod
+from math import comb, factorial, inf, prod
 from typing import NamedTuple, Optional, Sequence
 
 from .ideals import IdealSpec, _check_shape
@@ -88,6 +91,61 @@ def _bounded(
     return _Region(fixed_at, lower, cap_at, tuple(min_rest), tuple(caps_after), width)
 
 
+_REGION_CACHE_SIZE = 4096  # the plans of _priced and the factor regions, each per key
+
+
+@lru_cache(maxsize=_REGION_CACHE_SIZE)
+def _plan(region: _Region, s: int, m: int, n: int) -> tuple:
+    """What pricing a region's weights at s needs in any window, built once per key.
+
+    The number of walked columns (the free entries, or the last entry when none is free), the
+    fixed entries' factors with sf(m - n), den = sf(m) sf(n), the per-value pricer, the expansion
+    skeleton (None where free), and per walked column its entry, value -> factor memo, place
+    and shift in the expansion and the total of the fixed entries after it; nothing of one
+    call.  The fixed entries are checked once per plan and a column's value when first met; a
+    failed check raises RuntimeError and is never memoised, so it raises on every later call.
+    """
+    fixed_at = region.fixed_at
+    size, d = len(fixed_at), m - n
+    free = [j for j, x in enumerate(fixed_at) if x is None] or [size - 1]
+
+    def bound(lam: Sequence) -> None:
+        # the expansion bounds lam_s >= s - n and lam_{s+1} <= s - m, on the entries lam holds
+        if 0 < s <= len(lam) and lam[s - 1] is not None and lam[s - 1] < s - n:
+            raise RuntimeError(f"entry {s} of {lam} is below {s - n}; expansion not dominant")
+        if s < len(lam) and lam[s] is not None and lam[s] > s - m:
+            raise RuntimeError(f"entry {s + 1} of {lam} is above {s - m}; expansion not dominant")
+
+    fixed = [j for j, x in enumerate(fixed_at) if x is not None and j != free[-1]]
+    fixed_pairs = [fixed_at[e] - fixed_at[f] + f - e for e, f in combinations(fixed, 2)]
+    if fixed_pairs and min(fixed_pairs) <= 0:
+        raise RuntimeError(f"fixed entries {fixed_at} are not dominant")
+    bound(fixed_at)
+    qs = range(n, m)
+    den = _superfactorial(m) * _superfactorial(n)
+    num = _superfactorial(d) * prod(fixed_pairs) ** 2
+    # against the block the expansion inserts: l_i + q before it (i < s), -q - l_i after, n <= q < m
+    num *= prod([fixed_at[j] - j + q if j < s else j - q - fixed_at[j] for j in fixed for q in qs])
+
+    def weigh(j: int, memo: dict, v: int, cur: list) -> int:
+        # column j's factor at a new value v: its pairs with the fixed entries and its block factors
+        fx = [fixed_at[f] - v + j - f if f < j else v - fixed_at[f] + f - j for f in fixed]
+        if fx and min(fx) <= 0:
+            raise RuntimeError(f"entry {j + 1} = {v} after {cur[:j]} is not dominant: {fixed_at}")
+        if s - 1 <= j <= s:
+            bound((*cur[:j], v))
+        w = memo[v] = prod(fx) ** 2 * prod([v - j + q if j < s else j - q - v for q in qs])
+        return w
+
+    grown = (*fixed_at[:s], *(s - n,) * d, *[x if x is None else x + d for x in fixed_at[s:]])
+    ends = [*free, size]
+    cols = [
+        (j, {}, j + d if j >= s else j, d if j >= s else 0, sum(fixed_at[j + 1 : b]))
+        for j, b in zip(ends, ends[1:])
+    ]
+    return len(free), num, den, weigh, cols, grown
+
+
 def _priced(
     region: _Region, lo: int, hi: int, s: int, m: int, n: int,
     into: defaultdict[int, list], cls: type = tuple, fields: tuple = (),
@@ -103,30 +161,26 @@ def _priced(
     (-q - l_i) sf(m-n) / (sf(m) sf(n)), V = prod_{i<j} (l_i - l_j), sf(k) = prod_{0<=i<j<k} (j - i).
 
     The walk branches on the free entries left to right (on the last entry alone when none is
-    free), values ascending, and carries the weight prefix, its expansion and the partial product
-    down: the fixed entries' factors come once per call, a free entry's against them and the block
-    once per value it takes, and each node multiplies in its pairs with the free entries already
-    chosen.  Nothing is set up before the walk knows the window holds a weight.  RuntimeError is
-    raised when the fixed entries, or a new value against them, are not dominant, when an
-    expansion bound fails at a fixed entry or a value first met, and when a division is inexact.
+    free), values ascending, and carries down the partial product and the l_i of the free
+    entries chosen.  The plan (``_plan``) holds the fixed entries' factors and checks and each
+    free entry's factors per value, over all calls; each call bounds the first column, takes
+    the plan and sets each free entry in place in two lists of its own, the weight and its
+    expansion.  Each node multiplies in its pairs with the free entries already chosen (the
+    parent of the last free entry bounds that entry inline), and each weight its last free
+    entry's pairs, one lookup, one division and one tuple() each for lam and lam_expanded.
+    Nothing, not even the plan, is set up before the walk knows the window holds a weight.
+    RuntimeError is raised when a division is inexact and by the plan's checks.
     """
     fixed_at, lower, cap_at, min_rest, caps_after, width = region
-    size, d = len(fixed_at), m - n
-    # the walked columns: the free entries, or the last entry when none is free
-    free = [j for j, x in enumerate(fixed_at) if x is None] or [size - 1]
-    k, first, last = len(free), free[0], free[-1]
 
-    def span(i: int, prev: int, partial: int) -> tuple[int, int]:
-        # the values of column i after entries of this total ending in prev: at most prev, the
-        # cap and what leaves room for the least completion under hi; at least the lower bound
-        # and what lets the greatest completion reach lo, where each later entry is at most
-        # the value and its cap: a concave bound in the value, climbed by its slope
-        j = free[i]
+    def span(j: int, prev: int, partial: int) -> tuple[int, int]:
+        # the values of free entry j, not the last, after entries of this total ending in prev:
+        # at most prev, the cap and what leaves room for the least completion under hi; at least
+        # the lower bound and what lets the greatest completion reach lo, where each later entry
+        # is at most the value and its cap: a concave bound in the value, climbed by its slope
         top, cap, v = min(prev, hi - partial - min_rest[j + 1]), cap_at[j], lower[j]
         if cap is not None and cap < top:
             top = cap
-        if j == last:
-            return max(v, lo - partial - min_rest[j + 1]), top
         need, wj, caps = lo - partial, width[j], caps_after[j]
         while v <= top:
             short = need - v * wj - sum([c if c < v else v for c in caps])
@@ -135,96 +189,63 @@ def _priced(
             v -= short // -(wj + sum([c > v for c in caps]))
         return v, top
 
-    head = fixed_at[:first]
-    partial = sum(head)
-    if fixed_at[first] is None:
-        a, b = span(0, head[-1] if head else hi - min_rest[1], partial)
-    elif lo <= min_rest[0] <= hi:  # nothing is free: the one weight
-        a = b = fixed_at[first]
+    # the walked columns run from first to last; the last one's bounds need no climb
+    some, size = None in fixed_at, len(fixed_at)
+    first = fixed_at.index(None) if some else size - 1
+    last = size - 1 - fixed_at[::-1].index(None) if some else first
+    high, low = hi - min_rest[last + 1], lo - min_rest[last + 1]
+    least, cap = lower[last], inf if cap_at[last] is None else cap_at[last]
+    partial, prev = sum(fixed_at[:first]), fixed_at[first - 1] if first else hi - min_rest[1]
+    if not some:  # nothing is free: the one weight
+        a, b = (fixed_at[first],) * 2 if lo <= min_rest[0] <= hi else (0, -1)
+    elif first == last:
+        a, b = max(least, low - partial), min(prev, high - partial, cap)
     else:
-        return
+        a, b = span(first, prev, partial)
     if a > b:
         return
-
-    def bound(lam: tuple) -> None:
-        # the expansion bounds lam_s >= s - n and lam_{s+1} <= s - m, on the entries lam holds
-        if 0 < s <= len(lam) and lam[s - 1] is not None and lam[s - 1] < s - n:
-            raise RuntimeError(f"entry {s} of {lam} is below {s - n}; expansion not dominant")
-        if s < len(lam) and lam[s] is not None and lam[s] > s - m:
-            raise RuntimeError(f"entry {s + 1} of {lam} is above {s - m}; expansion not dominant")
-
-    fixed = [j for j, x in enumerate(fixed_at) if x is not None and j != last]
-    fixed_pairs = [fixed_at[e] - fixed_at[f] + f - e for e, f in combinations(fixed, 2)]
-    if fixed_pairs and min(fixed_pairs) <= 0:
-        raise RuntimeError(f"fixed entries {fixed_at} are not dominant")
-    bound(fixed_at)
-    qs = range(n, m)
-    den = _superfactorial(m) * _superfactorial(n)
-    num = _superfactorial(d) * prod(fixed_pairs) ** 2
-    # against the block the expansion inserts: l_i + q before it (i < s), -q - l_i after, n <= q < m
-    num *= prod([fixed_at[j] - j + q if j < s else j - q - fixed_at[j] for j in fixed for q in qs])
-
-    def weigh(j: int, memo: dict, v: int, acc: Weight) -> int:
-        # column j's factor at a new value v: its pairs with the fixed entries and its block factors
-        fx = [fixed_at[f] - v + j - f if f < j else v - fixed_at[f] + f - j for f in fixed]
-        if fx and min(fx) <= 0:
-            raise RuntimeError(f"entry {j + 1} = {v} after {acc} is not dominant against {fixed_at}")
-        if s - 1 <= j <= s:
-            bound(acc + (v,))
-        w = memo[v] = prod(fx) ** 2 * prod([v - j + q if j < s else j - q - v for q in qs])
-        return w
-
-    # the expansion of the fixed entries, None where free, and each column's memo by value, free
-    # columns before it, shift in the expansion and fixed entries after it, their total and expansion
-    grown = (*fixed_at[:s], *(s - n,) * d, *[x if x is None else x + d for x in fixed_at[s:]])
-    ends = [*free, size]
-    cols = [
-        (j, {}, [(f, j - f) for f in free[:i]], d if j >= s else 0, fixed_at[j + 1 : b],
-         sum(fixed_at[j + 1 : b]), grown[j + 1 if j < s else j + 1 + d : b if b < s else b + d])
-        for i, (j, b) in enumerate(zip(ends, ends[1:]))
-    ]
-    ehead = grown[: first if first < s else first + d]
+    k, num, den, weigh, cols, grown = _plan(region, s, m, n)
+    cur, ecur, d = list(fixed_at), list(grown), m - n  # the weight and its expansion, set in place
     new = tuple.__new__
 
-    def rec(
-        i: int, a: int, b: int, partial: int, acc: Weight, eacc: Weight, num: int, lcs: tuple
-    ) -> None:
-        # column i takes each value a..b after the entries acc (expanded: eacc) of this total;
-        # acc is dominant and at least b, so the pairs of a value with the free entries before
-        # it are positive; lcs holds the last column's, c - v for c in lcs
-        j, memo, before, shift, seg, segsum, eseg = cols[i]
+    def rec(i: int, a: int, b: int, partial: int, num: int, ls: tuple) -> None:
+        # column i takes each value a..b after the entries set in cur, of this total; they are
+        # dominant and at least b, so the pairs of a value v with the free entries before it,
+        # c - (v - j) for c in ls (their l_i), are positive
+        j, memo, ej, shift, segsum = cols[i]
+        partial += segsum
         if i + 1 == k:  # one weight per value
-            partial += segsum
             for v in range(a, b + 1):
-                w = memo.get(v) or weigh(j, memo, v, acc)  # a product of 0 is recomputed: exact
-                g = 1
-                for c in lcs:
-                    g *= c - v
+                w = memo.get(v) or weigh(j, memo, v, cur)  # a product of 0 is recomputed: exact
+                g, lv = 1, v - j
+                for c in ls:
+                    g *= c - lv
                 q, r = divmod(num * g * g * w, den)
-                lam = acc + (v,) + seg
+                cur[j], ecur[ej], total = v, v + shift, partial + v
+                lam = tuple(cur)
                 if r:
                     raise RuntimeError(f"Weyl product for {lam} at s={s}, m={m} is not an integer")
-                total, big = partial + v, eacc + (v + shift,) + eseg if d else lam
-                into[total].append(new(cls, fields + (lam, big, total, q)))
+                into[total].append(new(cls, fields + (lam, tuple(ecur) if d else lam, total, q)))
             return
-        cs = [acc[f] + c for f, c in before]
+        nxt, tail = cols[i + 1][0], i + 2 == k
         for v in range(a, b + 1):
-            w = memo.get(v) or weigh(j, memo, v, acc)
-            g = 1
-            for c in cs:
-                g *= c - v
-            total = partial + v + segsum
-            bottom, top = span(i + 1, seg[-1] if seg else v, total)
+            w = memo.get(v) or weigh(j, memo, v, cur)
+            g, lv = 1, v - j
+            for c in ls:
+                g *= c - lv
+            cur[j], ecur[ej], total = v, v + shift, partial + v
+            if tail:  # the span of the last free entry, inline
+                bottom, top = max(least, low - total), min(cur[nxt - 1], high - total, cap)
+            else:
+                bottom, top = span(nxt, cur[nxt - 1], total)
             if bottom <= top:
-                nxt = acc + (v,) + seg
-                enxt = eacc + (v + shift,) + eseg if d else nxt
-                rec(i + 1, bottom, top, total, nxt, enxt, num * g * g * w, lcs + (v + last - j,))
+                rec(i + 1, bottom, top, total, num * g * g * w, ls + (lv,))
 
-    rec(0, a, b, partial, head, ehead, num, ())
+    rec(0, a, b, partial, num, ())
     del rec  # the closure holds its own cell: break the cycle
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=_REGION_CACHE_SIZE)
 def _factor_region(zs: Weight, l: int) -> _Region:
     # the partitions x >= zs with x_i = zs_i for i >= l (0-based): the factor labeled (zs, l)
     fixed = (None,) * l + zs[l:]

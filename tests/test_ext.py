@@ -577,19 +577,25 @@ def test_last_entry_check_raises(monkeypatch):
 def test_walks_leave_no_cyclic_garbage():
     # the recursive closure of the pricing walk holds its own cell; with the name
     # deleted after the top-level call, reference counting frees what a walk of a
-    # chain's region (one free entry) and of a factor's (two) leaves
+    # chain's region (one free entry) and of factors' (two and three) leaves, both when
+    # it builds the region's plan and when it walks the region again on that plan
     region = ext._region(Partition([2, 2]), 1, (0, 1), 0, 3, 3)  # entry 1 is free
     assert region.fixed_at == (-3, None, -4)
     factor = schur._factor_region((3, 2, 1, 0), 2)
-    chain_weights, factor_weights = [], []
+    wide = schur._factor_region((3, 2, 1, 0), 3)
+    assert wide.fixed_at.count(None) == 3
+    chain_weights, factor_weights, wide_weights = [], [], []
+    schur._plan.cache_clear()
     gc.collect()
     gc.disable()
     try:
-        schur._priced(region, -100, 0, 0, 3, 3, defaultdict(lambda: chain_weights))
-        schur._priced(factor, 9, 9, 4, 4, 4, defaultdict(lambda: factor_weights))
-        assert [lam for lam, *_ in chain_weights] == [(-3, -4, -4), (-3, -3, -4)]
-        assert factor_weights
-        assert gc.collect() == 0
+        for _ in range(2):
+            schur._priced(region, -100, 0, 0, 3, 3, defaultdict(lambda: chain_weights))
+            schur._priced(factor, 9, 9, 4, 4, 4, defaultdict(lambda: factor_weights))
+            schur._priced(wide, 9, 10, 4, 5, 4, defaultdict(lambda: wide_weights))
+            assert gc.collect() == 0
+        assert [lam for lam, *_ in chain_weights] == [(-3, -4, -4), (-3, -3, -4)] * 2
+        assert factor_weights and wide_weights
     finally:
         gc.enable()
 

@@ -199,8 +199,9 @@ def test_pricing_checks_every_weight():
 
 
 def test_pricing_checks_the_fixed_entries():
-    # every weight shares the fixed entries, so they are checked once per call, when the
-    # window holds a weight: for dominance (3 - 5 + 1 < 0) and for each bound of weight_expand
+    # every weight shares the fixed entries, so they are checked once per plan, built when a
+    # window first holds a weight: for dominance (3 - 5 + 1 < 0) and for each bound of
+    # weight_expand
     with pytest.raises(RuntimeError, match="not dominant"):
         priced(schur._bounded((None, 3, 5), (7, 3, 5), (None, 3, 5)), 15, 15, 3, 3, 3)
     with pytest.raises(RuntimeError, match="below"):
@@ -216,7 +217,8 @@ def pricing_shapes(n, d, l, zvals, width):
     feasible chain, in a window of the given width from the chain's least degree, and the
     weights of the factor's Hilbert function in as many degrees.  Return the shapes met:
     s before, at, just after or past the last walked entry (-1, 0, 1, 2), m - n, two or
-    more weights after one prefix, chains with no free entry."""
+    more weights after one prefix, chains with no free entry, and a weight at the cap of the
+    last free entry when it is the only one, or the second of two with fixed entries after."""
     l = min(l, n - 1)
     vals = sorted(zvals[:n], reverse=True)
     vals[:l] = [vals[0]] * l
@@ -233,10 +235,18 @@ def pricing_shapes(n, d, l, zvals, width):
             assert dim == schur_dim(oracle, m) * schur_dim(lam, n)
         if not got:
             return
-        walked = max([j for j, x in enumerate(region.fixed_at) if x is None], default=n - 1)
+        free = [j for j, x in enumerate(region.fixed_at) if x is None]
+        walked = max(free, default=n - 1)
         met.update({("s", max(-1, min(s - walked, 2))), ("d", d)})
         if any(a[:walked] == b[:walked] for a, b in zip(lams, lams[1:])):
             met.add("long run")
+        # the last free entry's cap, met by a weight: bounded inline by its parent when it is
+        # the second of two free entries and fixed entries follow, at the root when alone
+        if free and any(lam[walked] == region.cap_at[walked] for lam in lams):
+            if len(free) == 2 and walked < n - 1:
+                met.add("capped second of two, fixed after")
+            elif len(free) == 1:
+                met.add("capped only free entry")
 
     for tup in index_tuples(z, l, m, n):
         region = ext._region(z, l, tup.t, tup.s, m, n)
@@ -261,13 +271,15 @@ PRICING_CASES = [
     (4, 2, 3, [2, 2, 2, 1, 0], 6),
     (5, 3, 2, [3, 3, 1, 0, 0], 4),
     (3, 2, 0, [3, 2, 1, 0, 0], 2),
+    (3, 1, 1, [2, 2, 1, 0, 0], 4),  # one free entry, at its cap
 ]
 
 
 def test_pricing_cases_cover_every_shape():
     met = set().union(*[pricing_shapes(*case) for case in PRICING_CASES])
     shapes = {("s", k) for k in (-1, 0, 1, 2)} | {"long run", "no free column"}
-    assert shapes <= met and {("d", 0), ("d", 2), ("d", 3)} <= met
+    shapes |= {"capped second of two, fixed after", "capped only free entry"}
+    assert shapes <= met and {("d", 0), ("d", 1), ("d", 2), ("d", 3)} <= met
 
 
 @settings(max_examples=150, deadline=None)
@@ -290,16 +302,25 @@ def test_pricing_rejects_weights_that_do_not_expand():
             price_alone([(0, 0, -6)], 1, m, 3)  # lam_2 > 1 - m
 
 
-def test_pricing_checks_weyl_divisibility(monkeypatch):
+@pytest.fixture
+def fresh_plans():
+    """Clear the pricing plans before and after a test that patches ``_superfactorial``: a plan
+    built before the patch would hide it, and one built under it would outlive it."""
+    schur._plan.cache_clear()
+    yield
+    schur._plan.cache_clear()
+
+
+def test_pricing_checks_weyl_divisibility(fresh_plans, monkeypatch):
     monkeypatch.setattr(schur, "_superfactorial", lambda k: 7**k)
     with pytest.raises(RuntimeError, match="not an integer"):
         price_alone([(0, 0, 0)], 3, 3, 3)
 
 
-def test_empty_windows_do_no_pricing_setup(monkeypatch):
-    # a window or a degree that holds no weight returns before the superfactorials:
-    # an Ext window above every chain's weights at a j with chains, and a factor with
-    # l >= 1 one degree below its least
+def test_empty_windows_do_no_pricing_setup(fresh_plans, monkeypatch):
+    # a window or a degree that holds no weight returns before building a plan, which
+    # needs the superfactorials: an Ext window above every chain's weights at a j with
+    # chains, and a factor with l >= 1 one degree below its least
     calls = []
     real = schur._priced
 
@@ -312,6 +333,7 @@ def test_empty_windows_do_no_pricing_setup(monkeypatch):
 
     X = power_gens(2, 7, 3)
     ext_graded(X, 9, 3, 3)  # the labels and chains, memoised before the patch
+    schur._plan.cache_clear()  # but no plan: one built for the warm-up would hide a lookup
     monkeypatch.setattr(schur, "_superfactorial", no_setup)
     monkeypatch.setattr(ext, "_priced", spy)
     monkeypatch.setattr(schur, "_priced", spy)
@@ -321,6 +343,46 @@ def test_empty_windows_do_no_pricing_setup(monkeypatch):
     calls.clear()
     assert j_graded_dim(Partition([2, 2]), 1, 3, 4, 3) == 0
     assert calls == [(schur._factor_region((2, 2, 0), 1), 3, 3)]
+    assert schur._plan.cache_info().currsize == 0
+
+
+def test_plans_are_built_once_and_reused_across_windows():
+    # three free entries before a fixed one, m - n = 2, least total -12: a window below it
+    # builds no plan, the walk over [lo, mid] and then [mid + 1, hi] builds one and gives the
+    # records of one walk over [lo, hi] with a fresh plan, in order within each total
+    z, l, t, s, m, n = Partition([2, 2, 2, 1]), 3, (3,), 2, 6, 4
+    region = ext._region(z, l, t, s, m, n)
+    assert region.fixed_at == (None, None, None, -4) and sum(region.lower) == -12
+    lo, mid, hi = -12, -9, -6
+    schur._plan.cache_clear()
+    assert priced(region, -20, -13, s, m, n) == []
+    assert schur._plan.cache_info().currsize == 0
+    split = defaultdict(list)
+    schur._priced(region, lo, mid, s, m, n, split)
+    schur._priced(region, mid + 1, hi, s, m, n, split)
+    assert priced(region, -20, -13, s, m, n) == []
+    info = schur._plan.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    schur._plan.cache_clear()
+    whole = defaultdict(list)
+    schur._priced(region, lo, hi, s, m, n, whole)
+    assert split == whole and max(map(len, whole.values())) > 1
+    want = enumerate_weights_reference(z, l, t, s, m, n, lo, hi)
+    assert sorted([lam for rows in whole.values() for lam, *_ in rows]) == want
+
+
+def test_failed_checks_are_never_memoised():
+    # the second free entry meets -1, not dominant against the fixed last entry, after
+    # memo hits; and two fixed entries out of order: each raises on every call
+    region = schur._bounded((None, None, 0), (2, -1, 0), (None, None, 0))
+    fixed = schur._bounded((None, 3, 5), (7, 3, 5), (None, 3, 5))
+    schur._plan.cache_clear()
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="not dominant"):
+            priced(region, 4, 5, 3, 3, 3)
+        with pytest.raises(RuntimeError, match="not dominant"):
+            priced(fixed, 15, 15, 3, 3, 3)
+    assert schur._plan.cache_info().currsize == 1  # the first region's plan, without -1
 
 
 def factor_dim_oracle(z, l, r, m, n):
