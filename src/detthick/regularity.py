@@ -32,7 +32,11 @@ def reg_tuples(z: Partition, l: int, n: int) -> list[tuple[int, ...]]:
     chain is all zeros.
     """
     _check_zl(z, l, n)
-    K = n - l
+    return _reg_tuples(z, l, n)
+
+
+def _reg_tuples(z: Partition, l: int, n: int) -> list[tuple[int, ...]]:
+    # reg_tuples on a label already checked
     out: list[tuple[int, ...]] = []
 
     def rec(i: int, nxt: int, acc: list[int]) -> None:
@@ -46,7 +50,8 @@ def reg_tuples(z: Partition, l: int, n: int) -> list[tuple[int, ...]]:
                 break
             rec(i - 1, ti, [ti] + acc)
 
-    rec(K, l, [l])
+    rec(n - l, l, [l])
+    del rec  # the closure holds its own cell: break the cycle
     out.sort()
     return out
 
@@ -57,6 +62,11 @@ def f_value(z: Partition, l: int, t: tuple[int, ...]) -> int:
     _check_zl(z, l, n)
     if t[-1] != l:
         raise ValueError(f"chain {t} must end at l={l}")
+    return _f_value(z, l, n, t)
+
+
+def _f_value(z: Partition, l: int, n: int, t: tuple[int, ...]) -> int:
+    # f_value on a label already checked and a chain that ends at l
     total = 0
     for i in range(1, n - l + 1):
         zdiff = z.part(max(n - i, 1)) - z.part(n + 1 - i)  # z_0 reads as z_1
@@ -67,7 +77,8 @@ def f_value(z: Partition, l: int, t: tuple[int, ...]) -> int:
 def reg_j(z: Partition, l: int, n: int) -> int:
     """Regularity of the factor module labeled (z, l): max of |z| + |t| - l - f."""
     _check_zl(z, l, n)
-    return max(z.size + sum(t) - l - f_value(z, l, t) for t in reg_tuples(z, l, n))
+    base = z.size - l
+    return max(base + sum(t) - _f_value(z, l, n, t) for t in _reg_tuples(z, l, n))
 
 
 def reg_quotient(X: IdealSpec, m: int, n: int) -> RegValue:

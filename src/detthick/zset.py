@@ -16,7 +16,7 @@ n and pairs, and never the plain pair (n, pairs).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from operator import itemgetter
 from typing import NamedTuple
 
 from .ideals import IdealSpec, _check_pdn, _Frozen
@@ -57,8 +57,9 @@ class ZSet(_Frozen):
 
 
 def _check_pair(pair: ZPair, n: int) -> ZPair:
-    z, l = pair.z, pair.l
-    if not 0 <= l <= n - 1 or any(z.part(i) != z.part(1) for i in range(2, l + 2)):
+    z, l = pair
+    # z is weakly decreasing: z_1 = ... = z_(l+1) iff z is empty or z_1 occurs l+1 times
+    if not 0 <= l <= n - 1 or (z and z.count(z[0]) <= l):
         raise RuntimeError(f"label {pair} breaks 0 <= l < {n} or z_1 = ... = z_(l+1)")
     return pair
 
@@ -70,41 +71,42 @@ _LABEL_CACHE_SIZE = 64
 def zset_general(X: IdealSpec) -> ZSet:
     """Factor labels of S/I_X for a proper nonzero invariant ideal.
 
-    For each candidate width c and each z of width exactly c, the
-    generators whose c-column truncation sits inside z either all stick
-    out past column c at a common minimal height l+1 (then (z, l) is a
-    label) or the candidate is discarded.
+    A label of width c is a z with z_1 = c and l = H(z) - 1, where
+    H(z) = min{h_g : trunc_c(g) <= z}, h_g is the height of column c+1 of
+    the generator g, and 0 < H(z) < infinity (H(z) = 0 puts z in I_X).
+    H(z) is the least h such that z_1 = ... = z_h = c and some generator g
+    has g_i <= z_i for every i > h:
+    "=>" because g_i <= z_i <= c for i > h forces h_g <= h and trunc_c(g) <= z;
+    "<=" because trunc_c(g) <= z gives z_1 = ... = z_(h_g) = c and g_i <= z_i
+    for i > h_g, by the definition of trunc.
 
-    Results are memoised per ideal in a bounded LRU cache;
-    ``zset_general.cache_clear()`` empties it.
+    So one walk sets z_n, z_(n-1), ... and carries C_k, the generators
+    with g_i <= z_i for every i >= k (C_(n+1) is all of them).  At row k:
+    * emit: each v below every g_k with g in C_(k+1) empties C_k and gives
+      the one label (v^k, z_(k+1), ..., z_n) with l = k-1; no other z with
+      rows k..n equal to (v, z_(k+1), ..., z_n) is a label;
+    * prune: once some g in C_k has g_1 <= z_k, every completion lies in
+      I_X, so the values stop below the least g_1 over C_(k+1).
+    The work scales with the tails that can still end outside I_X, not
+    with every candidate z.  Results are memoised per ideal in a bounded
+    LRU cache; ``zset_general.cache_clear()`` empties it.
     """
     if X.is_zero or X.is_unit:
         raise ValueError("factor labels need a proper nonzero ideal")
     n = X.n
-    gens = [g.parts + (0,) * (n - g.nparts) for g in X.gens]
-    none = n + 1  # no wider generator below z
     found = []
-    for c in range(max(g[0] for g in gens)):
-        # Keys are rows n, ..., 2 of a partition with first part c, bottom
-        # row first, so that combinations_with_replacement lists every key
-        # after the keys one box smaller.  A truncation t lies below such a
-        # z iff its key does, so a walk in that order carries to each z the
-        # least value of the truncations below it: 0 for a generator of
-        # width <= c (z is in I_X), else the height of column c+1.
-        least: dict[tuple[int, ...], int] = {}
-        for g in gens:
-            key = tuple(min(p, c) for p in reversed(g[1:]))
-            h = 0 if g[0] <= c else sum(1 for p in g if p > c)
-            least[key] = min(h, least.get(key, h))
-        for key in combinations_with_replacement(range(c + 1), n - 1):
-            h = least.get(key, none)
-            for i, p in enumerate(key):
-                if p > (key[i - 1] if i else 0):
-                    h = min(h, least[key[:i] + (p - 1,) + key[i + 1 :]])
-            least[key] = h
-            if 0 < h < none:
-                z = Partition((c,) + key[::-1])
-                found.append(_check_pair(ZPair(z, h - 1), n))
+
+    def walk(k: int, tail: tuple[int, ...], low: int, gens: list[tuple[int, ...]]) -> None:
+        # rows k+1..n read tail (low = z_(k+1)); gens is C_(k+1), not empty
+        least = min(map(itemgetter(k - 1), gens))  # least g_k over C_(k+1)
+        for v in range(low, least):
+            found.append(_check_pair(ZPair(Partition((v,) * k + tail), k - 1), n))
+        if k > 1:
+            for v in range(max(low, least), min(map(itemgetter(0), gens))):
+                walk(k - 1, (v,) + tail, v, [g for g in gens if g[k - 1] <= v])
+
+    walk(n, (), 0, [g.parts + (0,) * (n - g.nparts) for g in X.gens])
+    del walk  # the closure holds its own cell: break the cycle
     return ZSet(n, frozenset(found))
 
 

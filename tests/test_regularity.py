@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from detthick import regularity
@@ -54,6 +56,55 @@ def test_reg_value_worked_cases():
     for n in range(2, 6):
         for d in range(1, 6):
             assert reg_j(Partition([d, d]), 1, n) == max(2 * d + 1, d + n - 1)
+
+
+def test_reg_j_checks_each_label_once(monkeypatch):
+    calls = []
+    check = regularity._check_zl
+    monkeypatch.setattr(regularity, "_check_zl", lambda *a: calls.append(a) or check(*a))
+    z = Partition([5, 5, 3, 1])
+    assert len(reg_tuples(z, 1, 5)) > 1
+    calls.clear()
+    assert reg_j(z, 1, 5) == max(
+        z.size + sum(t) - 1 - f_value(z, 1, t) for t in reg_tuples(z, 1, 5)
+    )
+    assert len(calls) > 2  # the public helpers still check, each call
+    calls.clear()
+    reg_j(z, 1, 5)
+    assert calls == [(z, 1, 5)]
+
+
+def test_labels_and_their_regularity_leave_no_cyclic_garbage():
+    # the recursive closures of the label walk and of the chain enumeration
+    # hold their own cells; deleting the name after the top-level call lets
+    # reference counting free them
+    X = power_gens(2, 6, 4)
+    zset_general.cache_clear()
+    gc.collect()
+    gc.disable()
+    try:
+        assert reg_quotient(X, 4, 4) == reg_power_family(2, 6, 4, 4, "power") - 1
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_regularity_of_a_label_rejects_bad_labels():
+    for z, l, n in [
+        (Partition([2, 1]), 1, 3),  # z_1 != z_2
+        (Partition([1, 1, 1]), 3, 3),  # l = n
+        (Partition([1, 1, 1, 1]), 0, 3),  # more than n parts
+        (Partition([1]), -1, 3),
+    ]:
+        with pytest.raises(ValueError):
+            reg_j(z, l, n)
+        with pytest.raises(ValueError):
+            reg_tuples(z, l, n)
+        if l >= 0:
+            with pytest.raises(ValueError):
+                f_value(z, l, (l,) * (n - l + 1))
+    with pytest.raises(ValueError):
+        f_value(Partition([2, 2]), 1, (0, 0, 0))  # chain does not end at l
 
 
 def test_reg_quotient_trivial_cases():

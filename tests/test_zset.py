@@ -6,6 +6,7 @@ symbolic powers must agree with the general algorithm.
 """
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -52,9 +53,9 @@ def _width_candidates(n, c):
 
 
 @st.composite
-def antichain_ideals(draw):
-    n = draw(st.integers(1, 5))
-    gen = st.lists(st.integers(1, 7), min_size=1, max_size=n).map(
+def antichain_ideals(draw, rows=(1, 5), maxpart=7):
+    n = draw(st.integers(*rows))
+    gen = st.lists(st.integers(1, maxpart), min_size=1, max_size=n).map(
         lambda ps: Partition(sorted(ps, reverse=True))
     )
     return normalize(n, draw(st.lists(gen, min_size=1, max_size=5)))
@@ -64,6 +65,36 @@ def antichain_ideals(draw):
 @given(antichain_ideals())
 def test_engine_matches_reference(X):
     assert zset_general(X) == zset_reference(X)
+
+
+@settings(max_examples=60, deadline=None)
+@given(antichain_ideals(rows=(6, 7), maxpart=5))
+def test_engine_matches_reference_at_workload_rows(X):
+    # the benchmark workloads run n = 6 and 7; the reference is slow there
+    assert zset_general(X) == zset_reference(X)
+
+
+def _labels(X):
+    return {(pr.z.parts, pr.l) for pr in zset_general(X).pairs}
+
+
+def test_walk_edge_cases():
+    for n in range(1, 8):
+        # one rectangle (c^n): each value below c at the bottom row is a label
+        X = normalize(n, [Partition([3] * n)])
+        assert _labels(X) == {(Partition([v] * n).parts, n - 1) for v in range(3)}
+        # zero bottom rows never empty C, and every row stops below g_1 = 2
+        X = normalize(n, [Partition([2])])
+        assert _labels(X) == {((1,) * k, 0) for k in range(n + 1)}
+        if n >= 2:
+            for gens in ([[3, 3]], [[4, 1], [2, 2]], [[5], [3, 1], [2, 2, 2][:n]]):
+                X = normalize(n, [Partition(g) for g in gens])
+                assert zset_general(X) == zset_reference(X)
+    for d in range(1, 6):
+        # one row: the labels are the single rows shorter than d
+        assert _labels(normalize(1, [Partition([d])])) == {
+            (Partition([c]).parts, 0) for c in range(d)
+        }
 
 
 def random_proper_ideal(rng, n, max_part=5):
@@ -91,6 +122,34 @@ def test_all_produced_pairs_satisfy_head_equality():
             assert len(set(head)) == 1
 
 
+def test_every_row_the_walk_visits_leads_to_a_label():
+    # the walk visits a tail (k, z_(k+1..n)) iff some label with l < k ends in
+    # it: the prune leaves no tail whose completions all lie in I_X
+    walk_code = next(
+        c for c in zset_general.__wrapped__.__code__.co_consts
+        if getattr(c, "co_name", None) == "walk"
+    )
+    visits = []
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code is walk_code:
+            visits.append((frame.f_locals["k"], frame.f_locals["tail"]))
+
+    for X in (power_gens(2, 6, 4), symbolic_gens(2, 3, 5), normalize(4, [Partition([2])])):
+        zset_general.cache_clear()
+        visits.clear()
+        sys.setprofile(count)
+        try:
+            Z = zset_general(X)
+        finally:
+            sys.setprofile(None)
+        n = X.n
+        padded = [(pr.z.parts + (0,) * (n - pr.z.nparts), pr.l) for pr in Z.pairs]
+        tails = {(k, z[k:]) for z, l in padded for k in range(l + 1, n + 1)}
+        assert len(visits) == len(tails)
+        assert set(visits) == tails
+
+
 def test_trivial_ideals_rejected():
     zset_general(power_gens(2, 2, 3))  # a warm cache must not answer for them
     with pytest.raises(ValueError):
@@ -114,8 +173,9 @@ def test_equal_ideals_share_one_label_set():
 
 
 def test_reduced_determinantal_labels():
-    # I_{p x p minors} has the single label (0, p-1)
-    for n in range(1, 5):
+    # I_{p x p minors} has the single label (0, p-1); for p = n the walk
+    # empties C at the bottom row
+    for n in range(1, 8):
         for p in range(1, n + 1):
             X = normalize(n, [Partition([1] * p)])
             Z = zset_general(X)
@@ -145,6 +205,14 @@ def test_closed_forms_match_general_algorithm():
                     zset_general(symbolic_gens(p, d, n)).pairs
                     == zset_symbolic(p, d, n).pairs
                 )
+    # the sizes the benchmark workloads use: the family tables' powers, and
+    # the n = 7 minors and symbolic powers of the weight sweep
+    for p, d, n in [(3, 12, 6), (3, 10, 6), (2, 10, 5)]:
+        assert zset_general(power_gens(p, d, n)) == zset_power(p, d, n)
+    for p in range(1, 8):
+        for d in range(1, 5):
+            assert zset_general(power_gens(p, d, 7)) == zset_power(p, d, 7)
+            assert zset_general(symbolic_gens(p, d, 7)) == zset_symbolic(p, d, 7)
 
 
 def test_power_labels_level_bound():
