@@ -7,12 +7,16 @@ an explicit box-like region, and the internal degree of a weight is its
 total size.  Degree windows keep the enumeration finite: a single chain
 can contribute in infinitely many degrees.
 
-Each ideal's feasible chains are indexed by j once per (m, n), in a bounded
-memo (``_ext_index``): its labels in sort order and, for each j, the least
-total of a minimal weight there, which starts the default window, and the
-labels with a feasible chain at j, each with its chains.  An Ext module or
-Ext map at j reads only that j's entries, so a label with no chain there
-costs nothing, and a j with no chain at all returns before any walk.
+A label's feasible chains are walked directly (``zset._chain_tails``, the
+enumerator regularity shares), never found by testing each of the
+C(n+1, n-l+1) candidates of ``index_tuples``, which stays as the oracle;
+they come in the same (s, t) order.  Each ideal's feasible chains are
+indexed by j once per (m, n), in a bounded memo (``_ext_index``): its
+labels in sort order and, for each j, the least total of a minimal weight
+there, which starts the default window, and the labels with a feasible
+chain at j, each with its chains.  An Ext module or Ext map at j reads
+only that j's entries, so a label with no chain there costs nothing, and a
+j with no chain at all returns before any walk.
 
 The weights of each chain's region are walked and priced in one recursion,
 ``schur._priced``, which builds each component as it reaches its weight.
@@ -27,6 +31,7 @@ fields changed.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections import defaultdict
 from functools import lru_cache
 from types import MappingProxyType
@@ -35,7 +40,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 from .ideals import IdealSpec, _check_shape, subideal
 from .partitions import Partition
 from .schur import GradedTable, Weight, _bounded, _priced, _Region
-from .zset import ZPair, ZSet, zset_general
+from .zset import ZPair, ZSet, _chain_tails, zset_general
 
 
 class IndexTuple(NamedTuple):
@@ -187,12 +192,21 @@ def _chains_by_j(
     pair: ZPair, m: int, n: int
 ) -> Mapping[int, tuple[tuple[IndexTuple, _Region], ...]]:
     # the feasible chains of one label with their weight regions, grouped by j in
-    # the order of index_tuples; memoised per (label, m, n) in a bounded LRU cache
+    # (s, t) order, the order of index_tuples; memoised per (label, m, n) in a
+    # bounded LRU cache.  zset._chain_tails walks the feasible t in ascending
+    # order, each t holds s in [max(0, t_1 - z_n), t_1], so the t of one s are
+    # those with t_1 in [s, s + z_n], a slice of that list
+    z, l = pair
+    tails = _chain_tails(z, l, n)
+    zn, top = z.part(n), m * n - l * l
     table: dict[int, list[tuple[IndexTuple, _Region]]] = {}
-    for tup in index_tuples(pair.z, pair.l, m, n):
-        region = _region(pair.z, pair.l, tup.t, tup.s, m, n)
-        if region is not None:
-            table.setdefault(tup.j, []).append((tup, region))
+    for s in range(tails[-1][0] + 1):
+        for t in tails[bisect_left(tails, (s,)) : bisect_left(tails, (s + zn + 1,))]:
+            region = _region(z, l, t, s, m, n)
+            if region is None:
+                raise RuntimeError(f"chain s={s}, t={t} of label {pair} has an empty region")
+            j = top - s * (m - n) - 2 * sum(t)
+            table.setdefault(j, []).append((IndexTuple(s, t, j), region))
     return MappingProxyType({j: tuple(chains) for j, chains in table.items()})
 
 

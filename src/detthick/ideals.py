@@ -9,6 +9,7 @@ partition combinatorics on that antichain.  The matrix never appears.
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
 from .partitions import EMPTY, Partition, enumerate_partitions, leq, sup
@@ -135,8 +136,16 @@ def member(X: IdealSpec, y: Partition) -> bool:
     return any(leq(g, y) for g in X.gens)
 
 
+_CONTAINMENT_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=_CONTAINMENT_CACHE_SIZE)
 def subideal(X: IdealSpec, Y: IdealSpec) -> bool:
-    """Is I_X contained in I_Y?  True iff every generator of X lies in I_Y."""
+    """Is I_X contained in I_Y?  True iff every generator of X lies in I_Y.
+
+    Memoised per (X, Y) in a bounded LRU cache, which keeps no exception, so
+    a mismatched n raises on every call; ``subideal.cache_clear()`` empties it.
+    """
     if X.n != Y.n:
         raise ValueError(f"mismatched n: {X.n} vs {Y.n}")
     return all(member(Y, g) for g in X.gens)

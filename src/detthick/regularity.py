@@ -17,7 +17,7 @@ from typing import Iterator, Union
 
 from .ideals import IdealSpec, _check_shape, _check_zl
 from .partitions import Partition, enumerate_partitions
-from .zset import zset_general
+from .zset import _chain_tails, zset_general
 
 NEG_INF = float("-inf")
 RegValue = Union[int, float]
@@ -26,34 +26,14 @@ KINDS = ("power", "satpower", "symbolic")
 
 
 def reg_tuples(z: Partition, l: int, n: int) -> list[tuple[int, ...]]:
-    """Chains (t_1, ..., t_{n-l}, l) with increments between 0 and the z-differences.
+    """Chains (t_1, ..., t_{n-l}, l) with increments between 0 and the z-differences, sorted.
 
     Increment i is bounded by z_{n-i} - z_{n+1-i}; with l = 0 the only
-    chain is all zeros.
+    chain is all zeros.  These are the t of the label's feasible Ext chains
+    (``zset._chain_tails``), each followed by l.
     """
     _check_zl(z, l, n)
-    return _reg_tuples(z, l, n)
-
-
-def _reg_tuples(z: Partition, l: int, n: int) -> list[tuple[int, ...]]:
-    # reg_tuples on a label already checked
-    out: list[tuple[int, ...]] = []
-
-    def rec(i: int, nxt: int, acc: list[int]) -> None:
-        if i == 0:
-            out.append(tuple(acc))
-            return
-        zdiff = z.part(max(n - i, 1)) - z.part(n + 1 - i)  # z_0 reads as z_1
-        for delta in range(zdiff + 1):
-            ti = nxt - delta
-            if ti < 0:
-                break
-            rec(i - 1, ti, [ti] + acc)
-
-    rec(n - l, l, [l])
-    del rec  # the closure holds its own cell: break the cycle
-    out.sort()
-    return out
+    return [t + (l,) for t in _chain_tails(z, l, n)]
 
 
 def f_value(z: Partition, l: int, t: tuple[int, ...]) -> int:
@@ -77,8 +57,8 @@ def _f_value(z: Partition, l: int, n: int, t: tuple[int, ...]) -> int:
 def reg_j(z: Partition, l: int, n: int) -> int:
     """Regularity of the factor module labeled (z, l): max of |z| + |t| - l - f."""
     _check_zl(z, l, n)
-    base = z.size - l
-    return max(base + sum(t) - _f_value(z, l, n, t) for t in _reg_tuples(z, l, n))
+    # |z| + |t| - l over the chain closed by l is |z| plus the sum of the tail
+    return max(z.size + sum(t) - _f_value(z, l, n, t + (l,)) for t in _chain_tails(z, l, n))
 
 
 def reg_quotient(X: IdealSpec, m: int, n: int) -> RegValue:

@@ -39,6 +39,49 @@ class ZPair(NamedTuple):
         return f"({self.z}; l={self.l})"
 
 
+def _chain_tails(z: Partition, l: int, n: int) -> list[tuple[int, ...]]:
+    """The t of a label's feasible chains 0 <= s <= t_1 <= ... <= t_(n-l) <= l, ascending.
+
+    With k = n - l, r_i = z_(n-i) - z_(n+1-i) for i < k and r_k = z_l - z_(l+1)
+    (z_0 reads as z_1), a chain is feasible, its weight region
+    (``ext._region``) nonempty, exactly when
+        t_(i+1) - t_i <= r_i for i < k,   l - t_k <= r_k,   t_1 - z_n <= s.
+    Proof: the region fixes entry t_i + i at e_i = t_i - z_(n+1-i) - m and
+    bounds every entry below by f = l - z_l - m and by each fixed value
+    after it, entries 1..s below by s - n, and entries s+1..n above by s - m
+    and by each fixed value before it.  It is nonempty iff each entry's
+    lower bounds lie below its upper ones.  An entry up to s <= t_1 has no
+    upper bound, and every fixed entry lies past s, so this says
+    s - m >= e_1 >= ... >= e_k >= f: the three conditions above.
+
+    So every feasible t has the chains with s in [max(0, t_1 - z_n), t_1].
+    A label has r_k = 0, so t_k = l.  Where r_i = 0, t_(i+1) = t_i, so t is
+    a run of equal values between each two rows i < k with r_i > 0.  The
+    walk sets the runs from t_1 on, keeping t_i >= l - (r_i + ... + r_k),
+    the least value from which t_k can still reach l; every prefix then
+    completes, so it builds only the t it returns.  Each prefix extends in
+    ascending order, so the list comes out ascending with no sort.
+    """
+    if not l:  # t_i <= l = 0
+        return [(0,) * n]
+    k = n - l
+    parts = z + (0,) * (n - len(z))  # parts[i - 1] is z_i
+    # walking down from row k: each run above the first as (its length, its
+    # least value, the rise r_i > 0 into it from row i); a label has
+    # z_l = z_(l+1), so r_k = 0 and t_k = l
+    top, need = k, l
+    runs = []
+    for i in range(k - 1, 0, -1):
+        r = parts[n - i - 1] - parts[n - i]
+        if r:
+            runs.append((top - i, need, r))
+            top, need = i, need - r
+    tails = [(v,) * top for v in range(max(need, 0), l + 1)]  # rows 1..top
+    for c, lo, r in reversed(runs):
+        tails = [t + (v,) * c for t in tails for v in range(max(t[-1], lo), min(t[-1] + r, l) + 1)]
+    return tails
+
+
 class ZSet(_Frozen):
     """The full set of factor labels for one ideal."""
 

@@ -196,33 +196,102 @@ def test_minimal_weight_matches_reference(args):
     assert least_weight(*args) == minimal_weight_reference(*args)
 
 
+def check_chain_table(X: IdealSpec, m: int) -> int:
+    # each label's table keeps exactly the chains with a minimal weight, in the
+    # order of index_tuples, each with a region whose least weight is that
+    # minimal weight and equal to the region _region builds for it; returns
+    # how many chains the table leaves out
+    n, infeasible = X.n, 0
+    for pair in zset_general(X).sorted_pairs():
+        z, l = pair.z, pair.l
+        want: dict = {}
+        for tup in index_tuples(z, l, m, n):
+            w = minimal_weight_reference(z, l, tup.t, tup.s, m, n)
+            if w is None:
+                infeasible += 1
+            else:
+                want.setdefault(tup.j, []).append((tup, w))
+        table = ext._chains_by_j(pair, m, n)
+        assert list(table) == list(want), (pair, m)  # the j come in the same order
+        assert {
+            j: [(tup, region.lower) for tup, region in chains] for j, chains in table.items()
+        } == want, (pair, m)
+        for chains in table.values():
+            for tup, region in chains:
+                assert region == ext._region(z, l, tup.t, tup.s, m, n)
+    return infeasible
+
+
 def test_chain_table_holds_only_feasible_chains():
-    # each label's table keeps exactly the chains with a minimal weight, each
-    # with a region whose least weight is that minimal weight
     ideals = [power_gens(2, 7, 3), symbolic_gens(2, 3, 3), saturate(power_gens(3, 2, 4), 1)]
     ideals += [power_gens(1, 3, 2), normalize(4, [Partition([3, 1]), Partition([2, 2, 2])])]
-    infeasible = 0
-    for X in ideals:
-        n = X.n
-        for m in (n, n + 2):
-            for pair in zset_general(X).sorted_pairs():
-                z, l = pair.z, pair.l
-                want: dict = {}
-                for tup in index_tuples(z, l, m, n):
-                    w = minimal_weight_reference(z, l, tup.t, tup.s, m, n)
-                    if w is None:
-                        infeasible += 1
-                    else:
-                        want.setdefault(tup.j, []).append((tup, w))
-                table = ext._chains_by_j(pair, m, n)
-                assert {j: [tup for tup, _ in chains] for j, chains in table.items()} == {
-                    j: [tup for tup, _ in chains] for j, chains in want.items()
-                }
-                assert {
-                    j: [(tup, region.lower) for tup, region in chains]
-                    for j, chains in table.items()
-                } == want
+    infeasible = sum(check_chain_table(X, m) for X in ideals for m in (X.n, X.n + 2))
     assert infeasible  # the labels do have infeasible chains to leave out
+
+
+# labels with l up to 5, where most candidate chains are infeasible
+LARGE_L_SHAPES = [
+    (symbolic_gens(5, 3, 7), 7),
+    (symbolic_gens(5, 3, 7), 9),
+    (power_gens(6, 2, 7), 8),
+    (power_gens(4, 3, 6), 8),
+]
+
+
+@pytest.mark.parametrize("X, m", LARGE_L_SHAPES)
+def test_chain_table_at_large_l(X, m):
+    assert max(pair.l for pair in zset_general(X).pairs) >= 3
+    assert check_chain_table(X, m) > 0
+
+
+def chain_scan(pair: ZPair, m: int, n: int) -> list:
+    # the table as the scan over every candidate chain builds it: each chain of
+    # index_tuples whose region is nonempty, grouped by j in (s, t) order
+    table: dict = {}
+    for tup in index_tuples(pair.z, pair.l, m, n):
+        region = ext._region(pair.z, pair.l, tup.t, tup.s, m, n)
+        if region is not None:
+            table.setdefault(tup.j, []).append((tup, region))
+    return [(j, tuple(chains)) for j, chains in table.items()]
+
+
+@st.composite
+def wide_antichains(draw):
+    """A proper nonzero antichain ideal with n = 5 or 6, and m >= n."""
+    n = draw(st.integers(min_value=5, max_value=6))
+    m = n + draw(st.integers(min_value=0, max_value=2))
+    rows = st.lists(st.integers(1, 3), min_size=1, max_size=n)
+    raw = draw(st.lists(rows, min_size=1, max_size=3))
+    return normalize(n, [Partition(sorted(xs, reverse=True)) for xs in raw]), m
+
+
+@settings(max_examples=25, deadline=None)
+@given(wide_antichains())
+@example((normalize(6, [Partition([1] * 6)]), 6))  # every label has l = 5
+@example((normalize(5, [Partition([3, 3, 2]), Partition([2, 2, 2, 2])]), 7))
+def test_chain_walk_matches_candidate_scan(args):
+    # the walk yields exactly the candidate chains with a nonempty region, in
+    # the same order, so each j's chains and the order of the j agree
+    X, m = args
+    for pair in zset_general(X).sorted_pairs():
+        assert list(ext._chains_by_j(pair, m, X.n).items()) == chain_scan(pair, m, X.n)
+
+
+def test_walked_chain_with_no_region_raises(monkeypatch):
+    # the walk proves every chain it yields has a region; a _region that
+    # disagrees is a RuntimeError naming the label and the chain
+    pair = ZPair(Partition([2, 2]), 1)
+    real = ext._region
+
+    def region(z, l, t, s, m, n):
+        return None if (s, t) == (1, (1, 1)) else real(z, l, t, s, m, n)
+
+    monkeypatch.setattr(ext, "_region", region)
+    ext._chains_by_j.cache_clear()
+    with pytest.raises(RuntimeError, match=r"chain s=1, t=\(1, 1\) of label \(2,2; l=1\)"):
+        ext._chains_by_j(pair, 3, 3)
+    monkeypatch.undo()
+    assert ext._chains_by_j(pair, 3, 3)  # nothing was memoised under the patch
 
 
 def test_empty_window_rejected():

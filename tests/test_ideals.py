@@ -150,6 +150,25 @@ def test_subideal():
     assert subideal(power_gens(2, 2, 3), symbolic_gens(2, 2, 3))
 
 
+def test_subideal_checks_each_pair_once(monkeypatch):
+    # an all-j sweep of Ext maps tests the containment of its pair once; a
+    # mismatched n still raises on every call
+    calls = []
+    real = ideals.member
+    monkeypatch.setattr(ideals, "member", lambda *a: calls.append(a) or real(*a))
+    sub, sup = power_gens(2, 3, 3), power_gens(2, 2, 3)
+    subideal.cache_clear()
+    for j in range(10):
+        ext.ext_map_parts(sub, sup, j, 3, 3)
+    assert len(calls) == len(sub.gens)
+    assert subideal.cache_info().misses == 1
+    other = power_gens(2, 2, 4)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="mismatched n: 3 vs 4"):
+            subideal(sub, other)
+    assert not subideal(sup, sub)  # the memo keys on the ordered pair
+
+
 def test_saturate_examples():
     # stripping columns of height <= p, then re-normalizing
     X = normalize(3, [Partition([3, 1]), Partition([2, 2, 2])])

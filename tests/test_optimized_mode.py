@@ -4,7 +4,8 @@ One ``python -O`` subprocess computes the worked 3 x 3 Ext slice, runs the
 pricing walk on weights and hand-built regions that break each of its checks,
 feeds the Ext components an index whose regions break the last-entry check,
 feeds the Kodaira check an Ext index whose in-range chain breaks its cap
-check, and prints what it saw as one JSON line.
+check, builds a chain table with a ``_region`` that refuses a walked chain,
+and prints what it saw as one JSON line.
 """
 
 import json
@@ -84,6 +85,13 @@ def lift_first_cap(*a):
 kodaira._ext_index = lift_first_cap
 out["kodaira_cap"] = raises(kodaira.kodaira_check, power_gens(2, 2, 3), 3, 3)
 kodaira._ext_index = index
+# a _region that finds no weight for any chain the walk yields
+region = ext._region
+ext._region = lambda *a: None
+ext._chains_by_j.cache_clear()
+ext._ext_index.cache_clear()
+out["empty_region"] = raises(ext_graded, power_gens(2, 7, 3), 9, 3, 3)
+ext._region = region
 schur._plan.cache_clear()  # a plan built before the patch would keep the true denominator
 schur._superfactorial = lambda k: 7**k  # 7**6 does not divide the product 4 of (0, 0, 0)
 out["divisibility"] = one_weight((0, 0, 0), 3, 3)
@@ -108,4 +116,5 @@ def test_checks_and_worked_slice_under_optimize():
     assert got["dominance_free_fixed"] and got["dominance_last_head"]
     assert got["expansion_varying"] and got["last_entry"]
     assert got["kodaira_cap"]
+    assert got["empty_region"]
     assert got["divisibility"]

@@ -2,8 +2,8 @@ import gc
 
 import pytest
 
-from detthick import regularity
-from detthick.ideals import IdealSpec, normalize, power_gens, symbolic_gens
+from detthick import ext, regularity
+from detthick.ideals import IdealSpec, normalize, power_gens, saturate, symbolic_gens
 from detthick.partitions import Partition
 from detthick.regularity import (
     NEG_INF,
@@ -50,6 +50,64 @@ def test_reg_tuples_end_at_level():
             assert all(0 <= a <= b for a, b in zip(t, t[1:]))
 
 
+def scanned_tails(z: Partition, l: int, n: int) -> list[tuple[int, ...]]:
+    # the t of every candidate Ext chain with a nonempty weight region, each
+    # followed by l, sorted; feasibility does not depend on m, so m = n
+    feasible = {
+        tup.t for tup in ext.index_tuples(z, l, n, n) if ext._region(z, l, tup.t, tup.s, n, n)
+    }
+    return sorted(t + (l,) for t in feasible)
+
+
+# the ideals whose Ext chain tables tests/test_ext.py checks against the scan
+CHAIN_TABLE_IDEALS = [
+    power_gens(2, 7, 3),
+    symbolic_gens(2, 3, 3),
+    saturate(power_gens(3, 2, 4), 1),
+    power_gens(1, 3, 2),
+    normalize(4, [Partition([3, 1]), Partition([2, 2, 2])]),
+    symbolic_gens(5, 3, 7),
+    power_gens(6, 2, 7),
+    power_gens(4, 3, 6),
+]
+
+
+@pytest.mark.parametrize("X", CHAIN_TABLE_IDEALS)
+def test_reg_tuples_are_the_feasible_ext_chains(X):
+    for pair in zset_general(X).pairs:
+        assert reg_tuples(pair.z, pair.l, X.n) == scanned_tails(pair.z, pair.l, X.n), pair
+
+
+# the ideals of the label_sweep benchmark families, with (labels, sum and max of
+# reg_j over them) as the enumeration of every candidate chain gave them
+LABEL_SWEEP_REG = [
+    (power_gens(2, 7, 4), (57, 612, 13)),
+    (power_gens(3, 5, 5), (33, 417, 15)),
+    (symbolic_gens(2, 6, 4), (16, 118, 11)),
+    (symbolic_gens(3, 4, 5), (7, 63, 11)),
+    (saturate(power_gens(2, 7, 4), 1), (23, 197, 13)),
+    (power_gens(2, 6, 4), (38, 344, 11)),
+    (power_gens(2, 5, 4), (23, 172, 9)),
+    (symbolic_gens(2, 5, 4), (11, 70, 9)),
+    (symbolic_gens(2, 4, 4), (7, 37, 7)),
+    (saturate(power_gens(2, 6, 4), 1), (16, 118, 11)),
+    (saturate(power_gens(2, 5, 4), 1), (11, 70, 9)),
+]
+
+
+@pytest.mark.parametrize("X, pinned", LABEL_SWEEP_REG)
+def test_reg_j_unchanged_on_label_sweep_families(X, pinned):
+    # each label's regularity against the maximum over the scanned chains
+    values = []
+    for pair in zset_general(X).pairs:
+        z, l = pair.z, pair.l
+        want = max(z.size + sum(t) - l - f_value(z, l, t) for t in scanned_tails(z, l, X.n))
+        got = reg_j(z, l, X.n)
+        assert got == want, pair
+        values.append(got)
+    assert (len(values), sum(values), max(values)) == pinned
+
+
 def test_reg_value_worked_cases():
     assert reg_j(Partition([4, 4, 3]), 0, 3) == 11
     # two-row family: max of the two chain values
@@ -75,9 +133,9 @@ def test_reg_j_checks_each_label_once(monkeypatch):
 
 
 def test_labels_and_their_regularity_leave_no_cyclic_garbage():
-    # the recursive closures of the label walk and of the chain enumeration
-    # hold their own cells; deleting the name after the top-level call lets
-    # reference counting free them
+    # the recursive closure of the label walk holds its own cell; deleting
+    # the name after the top-level call lets reference counting free it, and
+    # the chain walk builds no closure
     X = power_gens(2, 6, 4)
     zset_general.cache_clear()
     gc.collect()
