@@ -55,8 +55,13 @@ def _f_value(z: Partition, l: int, n: int, t: tuple[int, ...]) -> int:
 
 
 def reg_j(z: Partition, l: int, n: int) -> int:
-    """Regularity of the factor module labeled (z, l): max of |z| + |t| - l - f."""
+    """Regularity of the factor module labeled (z, l): max of |z| + |t| - l - f.
+
+    With l = 0 the only chain is all zeros, with f = 0: the regularity is |z|.
+    """
     _check_zl(z, l, n)
+    if not l:
+        return z.size
     # |z| + |t| - l over the chain closed by l is |z| plus the sum of the tail
     return max(z.size + sum(t) - _f_value(z, l, n, t + (l,)) for t in _chain_tails(z, l, n))
 

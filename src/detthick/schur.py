@@ -11,14 +11,16 @@ does not depend on the window, a region's plan (``_plan``: its fixed entries' fa
 and each column's per-value factors), is built once per region, s, m and n and serves every later
 walk, and a walk sets each free entry in place on one mutable weight.  One pricer serves a factor
 in one degree and a Hilbert table: an l = 0 factor is S_z C^m (x) S_z C^n, two Weyl products; any
-other walks its region once, and only those regions are memoised per label.
+other walks its region once, and only those regions are memoised per label.  Those two products
+(``_point_dim``) also price the one Ext component of an l = 0 label, whose region
+(``_point_region``) is a single weight, so no plan and no walk serves any l = 0 label.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb, factorial, inf, prod
 from typing import NamedTuple, Optional, Sequence
 
@@ -89,6 +91,20 @@ def _bounded(
         caps_after[j] = caps_after[j + 1] if cap is None else (cap,) + caps_after[j + 1]
     width = tuple(n - j - len(caps_after[j]) for j in range(n))
     return _Region(fixed_at, lower, cap_at, tuple(min_rest), tuple(caps_after), width)
+
+
+def _point_region(lam: Weight) -> _Region:
+    # the region of the one weight lam, every entry fixed: _bounded(lam, lam, lam), built without
+    # its passes, since each entry's caps after it are the entries after it and its width is 1
+    n = len(lam)
+    rest = (*accumulate(lam[::-1], initial=0),)[::-1]
+    return _Region(lam, lam, lam, rest, tuple([lam[j + 1 :] for j in range(n)]), (1,) * n)
+
+
+def _point_dim(zs: Sequence[int], m: int, n: int) -> int:
+    # dim S_z C^m (x) S_z C^n, the price of an l = 0 label: its factor is that one irreducible,
+    # and its Ext one too, at j = mn in degree -|z| - mn, of the same dimension
+    return schur_dim(zs, m) * schur_dim(zs, n)
 
 
 _REGION_CACHE_SIZE = 4096  # the plans of _priced and the factor regions, each per key
@@ -259,7 +275,7 @@ def _add_factor(table: GradedTable, zs: Weight, l: int, lo: int, hi: int, m: int
     if not l:
         size = sum(zs)
         if lo <= size <= hi:
-            table[size] += schur_dim(zs, m) * schur_dim(zs, n)
+            table[size] += _point_dim(zs, m, n)
         return
     priced: list = []  # the list of every total
     _priced(_factor_region(zs, l), lo, hi, n, m, n, defaultdict(lambda: priced))

@@ -2,8 +2,8 @@
 
 Each is written the plain way, from the definitions, with none of the engine's
 indexes, runs or memos: a weight's expansion across m >= n, a chain's weights
-in a degree window, the components of Ext at one j, and the graded dimensions
-of a quotient by membership.
+in a degree window, the components of Ext at one j, the graded dimensions
+of a quotient by membership, and a factor's regularity as the sum over its chains.
 """
 
 from typing import Optional, Sequence
@@ -11,6 +11,7 @@ from typing import Optional, Sequence
 from detthick.ext import ExtComponent, _check_label, index_tuples
 from detthick.ideals import member
 from detthick.partitions import Partition, enumerate_partitions
+from detthick.regularity import f_value, reg_tuples
 from detthick.schur import Weight, schur_dim
 from detthick.zset import ZPair
 
@@ -162,3 +163,9 @@ def quotient_graded_dim_reference(X, r, m, n):
         return 0
     outside = [x.parts for x in enumerate_partitions(n, r, size=r) if not member(X, x)]
     return sum(schur_dim(x, m) * schur_dim(x, n) for x in outside)
+
+
+def reg_j_by_chains(z: Partition, l: int, n: int) -> int:
+    """Regularity of the factor labeled (z, l) as the general chain sum: the
+    maximum of |z| + |t| - l - f over its chains t, each closed by l."""
+    return max(z.size + sum(t) - l - f_value(z, l, t) for t in reg_tuples(z, l, n))

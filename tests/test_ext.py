@@ -32,9 +32,10 @@ from detthick.ext import (
 from detthick.ideals import IdealSpec, normalize, power_gens, saturate, symbolic_gens
 from detthick.kodaira import kodaira_check
 from detthick.partitions import Partition
+from detthick.regularity import reg_j
 from detthick.schur import Weight, schur_dim
 from detthick.zset import ZPair, ZSet, zset_general, zset_power
-from oracles import components_order_reference, enumerate_weights_reference
+from oracles import components_order_reference, enumerate_weights_reference, reg_j_by_chains
 
 
 def test_index_tuples_shape_and_count():
@@ -775,3 +776,39 @@ def test_index_empty_degree_walks_nothing(monkeypatch):
         ext_graded(sub, 7, 3, 3, window=(5, 4))
     with pytest.raises(ValueError, match="empty degree window"):
         ext_map_parts(sub, sup, 7, 3, 3, window=(5, 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.integers(min_value=n, max_value=n + 2),
+            st.lists(st.integers(min_value=0, max_value=7), min_size=n, max_size=n),
+        )
+    )
+)
+@example((1, 1, [0]))  # the empty z
+@example((6, 8, [7, 7, 5, 2, 2, 0]))
+def test_l0_label_is_one_point(args):
+    # an l = 0 label's table is built straight from z, and its one component comes
+    # from the point pricer, with no walk: both equal what the general path gives
+    # from the single chain of index_tuples, and the regularity equals the chain sum
+    n, m, parts = args
+    z = Partition(sorted(parts, reverse=True))
+    pair = ZPair(z, 0)
+    (tup,) = index_tuples(z, 0, m, n)
+    region = ext._region(z, 0, tup.t, tup.s, m, n)
+    assert list(ext._chains_by_j(pair, m, n).items()) == [(tup.j, ((tup, region),))]
+    walked: defaultdict = defaultdict(list)
+    schur._priced(region, -(10**6), 0, tup.s, m, n, walked, ExtComponent, (pair, tup.s, tup.t))
+    ((degree, (want,)),) = walked.items()
+    assert degree == -z.size - m * n
+    assert enumerate_weights(z, 0, tup.t, tup.s, m, n, degree, degree) == [want.lam]
+    chains = ext._chains_by_j(pair, m, n)[tup.j]
+    comps, table = ext._components_for_pairs([(pair, chains)], m, n, (degree - 3, degree))
+    assert comps == (want,) and table == ((degree, want.dim),)
+    assert comps == components_order_reference([pair], tup.j, m, n, (degree, degree))
+    assert want.dim == schur_dim(z, m) * schur_dim(z, n)
+    assert ext._components_for_pairs([(pair, chains)], m, n, (degree + 1, 0)) == ((), ())
+    assert reg_j(z, 0, n) == reg_j_by_chains(z, 0, n) == z.size
