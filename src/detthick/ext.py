@@ -20,11 +20,10 @@ j with no chain at all returns before any walk.
 
 An l = 0 label is one point: its one chain (s = 0, t = 0, j = mn) fixes
 every entry, at -z_(n-i) - m for entry i (0-based), so its table is built
-straight from z and its one component, of degree -|z| - mn, is priced by
-``schur._point_dim``, the pricer of the l = 0 factor itself, with no plan
-and no walk.  The weights of each other chain's region are walked and
-priced in one recursion, ``schur._priced``, which builds each component as
-it reaches its weight.
+straight from z.  The weights of every chain's region are walked and priced
+in one recursion, ``schur._priced``, which builds each component as it
+reaches its weight; a region with no free entry, the one weight of an
+l = 0 label in degree -|z| - mn, is priced there with no plan and no walk.
 The components come in (degree, label, s, t, weight) order by grouping on
 degree, since labels, chains and each chain's weights already come in that
 order.  Every record here (components, chains, Ext results and Ext map
@@ -44,7 +43,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .ideals import IdealSpec, _check_shape, subideal
 from .partitions import Partition
-from .schur import GradedTable, Weight, _bounded, _point_dim, _point_region, _priced, _Region
+from .schur import GradedTable, Weight, _bounded, _priced, _Region
 from .zset import ZPair, ZSet, _chain_tails, zset_general
 
 
@@ -206,7 +205,8 @@ def _chains_by_j(
     z, l = pair
     if not l:
         j = m * n
-        point = _point_region(tuple([-x - m for x in (z + (0,) * (n - len(z)))[::-1]]))
+        lam = tuple([-x - m for x in (z + (0,) * (n - len(z)))[::-1]])
+        point = _bounded(lam, lam, lam)
         return MappingProxyType({j: ((IndexTuple(0, (0,) * n, j), point),)})
     tails = _chain_tails(z, l, n)
     zn, top = z.part(n), m * n - l * l
@@ -264,13 +264,11 @@ def _components_for_pairs(
     # the components in (degree, pair, s, t, lam) order and their graded table,
     # from the (label, chains) entries of one j; labels come in sort_key order,
     # chains in (s, t) order and each chain's weights ascending, so grouping by
-    # degree is the whole sort.  An l = 0 label's one chain (s = 0) holds one
-    # weight, the dual of z, priced by schur._point_dim with no plan or walk
+    # degree is the whole sort
     lo, hi = window
     if lo > hi:
         raise ValueError(f"empty degree window [{lo}, {hi}]")
     by_degree: defaultdict[int, list[ExtComponent]] = defaultdict(list)
-    d = m - n
     for pair, chains in entries:
         # a label has z_{l+1} = z_l, so every weight ends in l - z_l - m: each
         # feasible chain's region fixes its last entry there
@@ -278,13 +276,7 @@ def _components_for_pairs(
         for tup, region in chains:
             if region.fixed_at[-1] != end:
                 raise RuntimeError(f"weights of {pair}, {tup} should end in {end}")
-            if pair.l:
-                _priced(region, lo, hi, tup.s, m, n, by_degree, ExtComponent, (pair, tup.s, tup.t))
-            elif lo <= region.min_rest[0] <= hi:  # expanded at s = 0: d entries -n, then lam + d
-                lam, total = region.fixed_at, region.min_rest[0]
-                big = (*(-n,) * d, *[x + d for x in lam]) if d else lam
-                comp = ExtComponent(pair, tup.s, tup.t, lam, big, total, _point_dim(pair.z, m, n))
-                by_degree[total].append(comp)
+            _priced(region, lo, hi, tup.s, m, n, by_degree, ExtComponent, (pair, tup.s, tup.t))
     degrees = sorted(by_degree)
     comps = tuple([c for e in degrees for c in by_degree[e]])
     table = tuple([(e, sum([c.dim for c in by_degree[e]])) for e in degrees])

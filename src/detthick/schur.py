@@ -11,16 +11,16 @@ does not depend on the window, a region's plan (``_plan``: its fixed entries' fa
 and each column's per-value factors), is built once per region, s, m and n and serves every later
 walk, and a walk sets each free entry in place on one mutable weight.  One pricer serves a factor
 in one degree and a Hilbert table: an l = 0 factor is S_z C^m (x) S_z C^n, two Weyl products; any
-other walks its region once, and only those regions are memoised per label.  Those two products
-(``_point_dim``) also price the one Ext component of an l = 0 label, whose region
-(``_point_region``) is a single weight, so no plan and no walk serves any l = 0 label.
+other walks its region once, and only those regions are memoised per label.  A region with no
+free entry, such as an l = 0 label's one Ext chain, is a single weight: ``_priced`` prices it by
+the plan's own product, with no plan and no walk.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import combinations
 from math import comb, factorial, inf, prod
 from typing import NamedTuple, Optional, Sequence
 
@@ -93,18 +93,32 @@ def _bounded(
     return _Region(fixed_at, lower, cap_at, tuple(min_rest), tuple(caps_after), width)
 
 
-def _point_region(lam: Weight) -> _Region:
-    # the region of the one weight lam, every entry fixed: _bounded(lam, lam, lam), built without
-    # its passes, since each entry's caps after it are the entries after it and its width is 1
-    n = len(lam)
-    rest = (*accumulate(lam[::-1], initial=0),)[::-1]
-    return _Region(lam, lam, lam, rest, tuple([lam[j + 1 :] for j in range(n)]), (1,) * n)
+def _expanded(lam: Sequence, s: int, m: int, n: int) -> tuple:
+    # lam's expansion at s: lam_1..lam_s, m - n entries s - n, then the rest plus m - n; a free
+    # entry (None) stays free
+    d = m - n
+    return (*lam[:s], *(s - n,) * d, *[x if x is None else x + d for x in lam[s:]])
 
 
-def _point_dim(zs: Sequence[int], m: int, n: int) -> int:
-    # dim S_z C^m (x) S_z C^n, the price of an l = 0 label: its factor is that one irreducible,
-    # and its Ext one too, at j = mn in degree -|z| - mn, of the same dimension
-    return schur_dim(zs, m) * schur_dim(zs, n)
+def _check_expands(lam: Sequence, s: int, m: int, n: int) -> None:
+    # the expansion bounds lam_s >= s - n and lam_{s+1} <= s - m, on the entries lam holds
+    if 0 < s <= len(lam) and lam[s - 1] is not None and lam[s - 1] < s - n:
+        raise RuntimeError(f"entry {s} of {lam} is below {s - n}; expansion not dominant")
+    if s < len(lam) and lam[s] is not None and lam[s] > s - m:
+        raise RuntimeError(f"entry {s + 1} of {lam} is above {s - m}; expansion not dominant")
+
+
+def _fixed_product(fixed_at: tuple, fixed: Sequence[int], s: int, m: int, n: int) -> int:
+    # sf(m - n) times the squared pairs of the entries `fixed` and their factors against the block
+    # the expansion inserts (l_i + q before it, i < s; -q - l_i after, n <= q < m); checks that
+    # they are dominant and that fixed_at expands to a dominant weight
+    pairs = [fixed_at[e] - fixed_at[f] + f - e for e, f in combinations(fixed, 2)]
+    if pairs and min(pairs) <= 0:
+        raise RuntimeError(f"fixed entries {fixed_at} are not dominant")
+    _check_expands(fixed_at, s, m, n)
+    qs = range(n, m)
+    block = [fixed_at[j] - j + q if j < s else j - q - fixed_at[j] for j in fixed for q in qs]
+    return _superfactorial(m - n) * prod(pairs) ** 2 * prod(block)
 
 
 _REGION_CACHE_SIZE = 4096  # the plans of _priced and the factor regions, each per key
@@ -114,34 +128,20 @@ _REGION_CACHE_SIZE = 4096  # the plans of _priced and the factor regions, each p
 def _plan(region: _Region, s: int, m: int, n: int) -> tuple:
     """What pricing a region's weights at s needs in any window, built once per key.
 
-    The number of walked columns (the free entries, or the last entry when none is free), the
-    fixed entries' factors with sf(m - n), den = sf(m) sf(n), the per-value pricer, the expansion
-    skeleton (None where free), and per walked column its entry, value -> factor memo, place
-    and shift in the expansion and the total of the fixed entries after it; nothing of one
-    call.  The fixed entries are checked once per plan and a column's value when first met; a
-    failed check raises RuntimeError and is never memoised, so it raises on every later call.
+    The number of free entries (a region has at least one here), the fixed entries' factors
+    with sf(m - n), den = sf(m) sf(n), the per-value pricer, the expansion skeleton (None where
+    free), and per free entry its position, value -> factor memo, place and shift in the
+    expansion and the total of the fixed entries after it; nothing of one call.  The fixed
+    entries are checked once per plan and a column's value when first met; a failed check
+    raises RuntimeError and is never memoised, so it raises on every later call.
     """
     fixed_at = region.fixed_at
     size, d = len(fixed_at), m - n
-    free = [j for j, x in enumerate(fixed_at) if x is None] or [size - 1]
-
-    def bound(lam: Sequence) -> None:
-        # the expansion bounds lam_s >= s - n and lam_{s+1} <= s - m, on the entries lam holds
-        if 0 < s <= len(lam) and lam[s - 1] is not None and lam[s - 1] < s - n:
-            raise RuntimeError(f"entry {s} of {lam} is below {s - n}; expansion not dominant")
-        if s < len(lam) and lam[s] is not None and lam[s] > s - m:
-            raise RuntimeError(f"entry {s + 1} of {lam} is above {s - m}; expansion not dominant")
-
-    fixed = [j for j, x in enumerate(fixed_at) if x is not None and j != free[-1]]
-    fixed_pairs = [fixed_at[e] - fixed_at[f] + f - e for e, f in combinations(fixed, 2)]
-    if fixed_pairs and min(fixed_pairs) <= 0:
-        raise RuntimeError(f"fixed entries {fixed_at} are not dominant")
-    bound(fixed_at)
-    qs = range(n, m)
+    free = [j for j, x in enumerate(fixed_at) if x is None]
+    fixed = [j for j, x in enumerate(fixed_at) if x is not None]
+    num = _fixed_product(fixed_at, fixed, s, m, n)
     den = _superfactorial(m) * _superfactorial(n)
-    num = _superfactorial(d) * prod(fixed_pairs) ** 2
-    # against the block the expansion inserts: l_i + q before it (i < s), -q - l_i after, n <= q < m
-    num *= prod([fixed_at[j] - j + q if j < s else j - q - fixed_at[j] for j in fixed for q in qs])
+    qs = range(n, m)
 
     def weigh(j: int, memo: dict, v: int, cur: list) -> int:
         # column j's factor at a new value v: its pairs with the fixed entries and its block factors
@@ -149,11 +149,11 @@ def _plan(region: _Region, s: int, m: int, n: int) -> tuple:
         if fx and min(fx) <= 0:
             raise RuntimeError(f"entry {j + 1} = {v} after {cur[:j]} is not dominant: {fixed_at}")
         if s - 1 <= j <= s:
-            bound((*cur[:j], v))
+            _check_expands((*cur[:j], v), s, m, n)
         w = memo[v] = prod(fx) ** 2 * prod([v - j + q if j < s else j - q - v for q in qs])
         return w
 
-    grown = (*fixed_at[:s], *(s - n,) * d, *[x if x is None else x + d for x in fixed_at[s:]])
+    grown = _expanded(fixed_at, s, m, n)
     ends = [*free, size]
     cols = [
         (j, {}, j + d if j >= s else j, d if j >= s else 0, sum(fixed_at[j + 1 : b]))
@@ -176,18 +176,30 @@ def _priced(
     -n, ..., -m+1: the product is V(l)^2 prod_{i<s, n<=q<m} (l_i + q) prod_{i>=s, n<=q<m}
     (-q - l_i) sf(m-n) / (sf(m) sf(n)), V = prod_{i<j} (l_i - l_j), sf(k) = prod_{0<=i<j<k} (j - i).
 
-    The walk branches on the free entries left to right (on the last entry alone when none is
-    free), values ascending, and carries down the partial product and the l_i of the free
-    entries chosen.  The plan (``_plan``) holds the fixed entries' factors and checks and each
-    free entry's factors per value, over all calls; each call bounds the first column, takes
-    the plan and sets each free entry in place in two lists of its own, the weight and its
-    expansion.  Each node multiplies in its pairs with the free entries already chosen (the
-    parent of the last free entry bounds that entry inline), and each weight its last free
-    entry's pairs, one lookup, one division and one tuple() each for lam and lam_expanded.
+    A region with no free entry is its one weight: when the window holds it, its expansion and
+    product are computed straight away, with the plan's checks, and no plan is built.  The walk
+    branches on the free entries left to right, values ascending, and carries down the partial
+    product and the l_i of the free entries chosen.  The plan (``_plan``) holds the fixed
+    entries' factors and checks and each free entry's factors per value, over all calls; each
+    call bounds the first column, takes the plan and sets each free entry in place in two lists
+    of its own, the weight and its expansion.  Each node multiplies in its pairs with the free
+    entries already chosen (the parent of the last free entry bounds that entry inline), and
+    each weight its last free entry's pairs, one lookup, one division and one tuple() each for
+    lam and lam_expanded.
     Nothing, not even the plan, is set up before the walk knows the window holds a weight.
     RuntimeError is raised when a division is inexact and by the plan's checks.
     """
     fixed_at, lower, cap_at, min_rest, caps_after, width = region
+    if None not in fixed_at:  # nothing is free: the one weight
+        total = min_rest[0]
+        if lo <= total <= hi:
+            num = _fixed_product(fixed_at, range(len(fixed_at)), s, m, n)
+            dim, r = divmod(num, _superfactorial(m) * _superfactorial(n))
+            if r:
+                raise RuntimeError(f"Weyl product for {fixed_at} at s={s}, m={m} is not an integer")
+            big = _expanded(fixed_at, s, m, n) if m > n else fixed_at
+            into[total].append(tuple.__new__(cls, fields + (fixed_at, big, total, dim)))
+        return
 
     def span(j: int, prev: int, partial: int) -> tuple[int, int]:
         # the values of free entry j, not the last, after entries of this total ending in prev:
@@ -206,15 +218,12 @@ def _priced(
         return v, top
 
     # the walked columns run from first to last; the last one's bounds need no climb
-    some, size = None in fixed_at, len(fixed_at)
-    first = fixed_at.index(None) if some else size - 1
-    last = size - 1 - fixed_at[::-1].index(None) if some else first
+    first, size = fixed_at.index(None), len(fixed_at)
+    last = size - 1 - fixed_at[::-1].index(None)
     high, low = hi - min_rest[last + 1], lo - min_rest[last + 1]
     least, cap = lower[last], inf if cap_at[last] is None else cap_at[last]
     partial, prev = sum(fixed_at[:first]), fixed_at[first - 1] if first else hi - min_rest[1]
-    if not some:  # nothing is free: the one weight
-        a, b = (fixed_at[first],) * 2 if lo <= min_rest[0] <= hi else (0, -1)
-    elif first == last:
+    if first == last:
         a, b = max(least, low - partial), min(prev, high - partial, cap)
     else:
         a, b = span(first, prev, partial)
@@ -275,7 +284,7 @@ def _add_factor(table: GradedTable, zs: Weight, l: int, lo: int, hi: int, m: int
     if not l:
         size = sum(zs)
         if lo <= size <= hi:
-            table[size] += _point_dim(zs, m, n)
+            table[size] += schur_dim(zs, m) * schur_dim(zs, n)
         return
     priced: list = []  # the list of every total
     _priced(_factor_region(zs, l), lo, hi, n, m, n, defaultdict(lambda: priced))

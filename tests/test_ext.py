@@ -791,24 +791,30 @@ def test_index_empty_degree_walks_nothing(monkeypatch):
 @example((1, 1, [0]))  # the empty z
 @example((6, 8, [7, 7, 5, 2, 2, 0]))
 def test_l0_label_is_one_point(args):
-    # an l = 0 label's table is built straight from z, and its one component comes
-    # from the point pricer, with no walk: both equal what the general path gives
-    # from the single chain of index_tuples, and the regularity equals the chain sum
+    # an l = 0 label's table is built straight from z, and its one weight is priced with
+    # no plan and no walk: the table equals the single chain of index_tuples with _region's
+    # region, the component equals the reference and the plan's walk of the same weight as
+    # a region whose last entry is free but capped at its value, and the regularity equals
+    # the chain sum
     n, m, parts = args
     z = Partition(sorted(parts, reverse=True))
     pair = ZPair(z, 0)
     (tup,) = index_tuples(z, 0, m, n)
     region = ext._region(z, 0, tup.t, tup.s, m, n)
     assert list(ext._chains_by_j(pair, m, n).items()) == [(tup.j, ((tup, region),))]
-    walked: defaultdict = defaultdict(list)
-    schur._priced(region, -(10**6), 0, tup.s, m, n, walked, ExtComponent, (pair, tup.s, tup.t))
-    ((degree, (want,)),) = walked.items()
-    assert degree == -z.size - m * n
-    assert enumerate_weights(z, 0, tup.t, tup.s, m, n, degree, degree) == [want.lam]
+    degree = -z.size - m * n
+    assert enumerate_weights(z, 0, tup.t, tup.s, m, n, degree - 3, 0) == [region.fixed_at]
     chains = ext._chains_by_j(pair, m, n)[tup.j]
+    built = schur._plan.cache_info().misses
     comps, table = ext._components_for_pairs([(pair, chains)], m, n, (degree - 3, degree))
-    assert comps == (want,) and table == ((degree, want.dim),)
+    assert schur._plan.cache_info().misses == built
     assert comps == components_order_reference([pair], tup.j, m, n, (degree, degree))
-    assert want.dim == schur_dim(z, m) * schur_dim(z, n)
+    (want,) = comps
+    assert table == ((degree, want.dim),) and want.dim == schur_dim(z, m) * schur_dim(z, n)
+    lam = region.fixed_at
+    walked: defaultdict = defaultdict(list)
+    freed = schur._bounded((*lam[:-1], None), lam, lam)
+    schur._priced(freed, degree, degree, tup.s, m, n, walked, ExtComponent, (pair, tup.s, tup.t))
+    assert dict(walked) == {degree: [want]}
     assert ext._components_for_pairs([(pair, chains)], m, n, (degree + 1, 0)) == ((), ())
     assert reg_j(z, 0, n) == reg_j_by_chains(z, 0, n) == z.size

@@ -321,7 +321,7 @@ def test_empty_windows_do_no_pricing_setup(fresh_plans, monkeypatch):
     # a window or a degree that holds no weight returns before building a plan, which
     # needs the superfactorials: an Ext window above every chain's weights at a j whose
     # chains have l >= 1 (power:2:7 over 3 x 3 at j = 6), and a factor with l >= 1 one
-    # degree below its least; an l = 0 label outside the window prices nothing at all
+    # degree below its least; an l = 0 label's one weight outside the window sets up nothing
     calls = []
     real = schur._priced
 
@@ -331,9 +331,6 @@ def test_empty_windows_do_no_pricing_setup(fresh_plans, monkeypatch):
 
     def no_setup(k):
         raise AssertionError("an empty window set up its pricing")
-
-    def no_dim(lam, k):
-        raise AssertionError("an l = 0 label outside the window was priced")
 
     X = power_gens(2, 7, 3)
     ext_graded(X, 6, 3, 3)  # the labels and chains, memoised before the patch
@@ -346,10 +343,12 @@ def test_empty_windows_do_no_pricing_setup(fresh_plans, monkeypatch):
     assert calls
     calls.clear()
     # at j = 9 every label has l = 0: its one weight, of degree -22 and up, is out of the window
-    monkeypatch.setattr(schur, "schur_dim", no_dim)
-    assert {pair.l for pair, _ in ext._ext_index(zset_general(X), 3, 3)[2][9]} == {0}
+    entries = ext._ext_index(zset_general(X), 3, 3)[2][9]
+    assert {pair.l for pair, _ in entries} == {0}
     res = ext_graded(X, 9, 3, 3, window=(0, 10))
-    assert res.components == () and res.table == () and calls == []
+    assert res.components == () and res.table == ()
+    assert [args[0] for args in calls] == [region for _, ((_, region),) in entries]
+    calls.clear()
     assert j_graded_dim(Partition([2, 2]), 1, 3, 4, 3) == 0
     assert calls == [(schur._factor_region((2, 2, 0), 1), 3, 3)]
     assert schur._plan.cache_info().currsize == 0
