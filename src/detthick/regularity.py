@@ -13,10 +13,12 @@ finite values are exact integers.
 
 from __future__ import annotations
 
-from typing import Iterator, Union
+from itertools import combinations_with_replacement
+from operator import ge, mul
+from typing import Union
 
 from .ideals import IdealSpec, _check_shape, _check_zl
-from .partitions import Partition, enumerate_partitions
+from .partitions import Partition
 from .zset import _chain_tails, zset_general
 
 NEG_INF = float("-inf")
@@ -80,45 +82,43 @@ def reg_quotient(X: IdealSpec, m: int, n: int) -> RegValue:
     return max(reg_j(pair.z, pair.l, n) for pair in zset_general(X).pairs)
 
 
-def _u_candidates(l: int, k: int) -> list[Partition]:
-    # u in P_k with u_1 = l (u empty when l = 0)
-    if l == 0:
-        return [Partition()]
-    return [Partition((l,) + tail.parts) for tail in enumerate_partitions(k - 1, l)]
-
-
-def _yu_values(l: int, p: int, n: int, d: int) -> Iterator[int]:
-    k = n - l
-    us = _u_candidates(l, k)
-    for y in enumerate_partitions(k, d - 1):
-        if y.size > d * (p - l) - 1:
-            continue
-        if y.size - y.part(1) < d * (p - 1 - l):
-            continue
-        for u in us:
-            if any(
-                y.part(i) - y.part(i + 1) < u.part(i) - u.part(i + 1)
-                for i in range(1, k)
-            ):
-                continue
-            corr = sum(
-                u.part(i + 1) * ((y.part(i) - y.part(i + 1)) - (u.part(i) - u.part(i + 1)))
-                for i in range(1, k)
-            )
-            yield l * y.part(1) + y.size + u.size - corr
-
-
 def r_bruteforce(l: int, p: int, n: int, d: int) -> RegValue:
     """Level-l regularity bound by direct search over the partition-pair region.
 
-    Enumeration uses the proven caps y_1 <= d-1 and u inside the l-column
-    box; returns -inf when the region is empty.
+    With k = n - l, y runs over the k x (d-1) box with d(p-1-l) <= |y| - y_1
+    and |y| <= d(p-l) - 1, and u = (l, tail) with the tail in the (k-1) x l
+    box (both caps proven).  A pair counts when each step y_i - y_(i+1) is at
+    least u_i - u_(i+1), and weighs l y_1 + |y| + |u| - sum u_(i+1) ((y_i -
+    y_(i+1)) - (u_i - u_(i+1))); -inf when no pair counts.
+
+    The boxes are plain int tuples: ``combinations_with_replacement(range(c,
+    -1, -1), k)`` yields each k-multiset of {c, ..., 0} once, in input order,
+    so weakly decreasing: exactly the partitions in the k x c box, zero-padded,
+    C(k + c, k) of them.  Each u's steps, parts u_(i+1) and |u| are taken once
+    per call, so a pair costs one elementwise test and one dot product.
     """
     if not 0 <= l < p <= n:
         raise ValueError(f"need 0 <= l < p <= n, got l={l}, p={p}, n={n}")
     if d < 1:
         raise ValueError(f"need d >= 1, got d={d}")
-    return max(_yu_values(l, p, n, d), default=NEG_INF)
+    k = n - l
+    us = []
+    for tail in combinations_with_replacement(range(l, -1, -1), k - 1):
+        steps = [a - b for a, b in zip((l,) + tail, tail)]
+        # |u| - corr = const - sum of u_(i+1) (y_i - y_(i+1))
+        us.append((steps, tail, l + sum(tail) + sum(map(mul, tail, steps))))
+    hi, lo = d * (p - l) - 1, d * (p - 1 - l)
+    best: RegValue = NEG_INF
+    for y in combinations_with_replacement(range(d - 1, -1, -1), k):
+        size = sum(y)
+        if size > hi or size - y[0] < lo:
+            continue
+        ysteps = [a - b for a, b in zip(y, y[1:])]
+        base = l * y[0] + size
+        for steps, parts, const in us:
+            if all(map(ge, ysteps, steps)):
+                best = max(best, base + const - sum(map(mul, parts, ysteps)))
+    return best
 
 
 def closed_form_valid(l: int, p: int, n: int, d: int) -> bool:

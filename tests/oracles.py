@@ -3,15 +3,17 @@
 Each is written the plain way, from the definitions, with none of the engine's
 indexes, runs or memos: a weight's expansion across m >= n, a chain's weights
 in a degree window, the components of Ext at one j, the graded dimensions
-of a quotient by membership, and a factor's regularity as the sum over its chains.
+of a quotient by membership, a factor's regularity as the sum over its chains,
+and the level-l regularity bound by the partition-pair search over
+``Partition`` objects.
 """
 
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from detthick.ext import ExtComponent, _check_label, index_tuples
 from detthick.ideals import member
 from detthick.partitions import Partition, enumerate_partitions
-from detthick.regularity import f_value, reg_tuples
+from detthick.regularity import NEG_INF, RegValue, f_value, reg_tuples
 from detthick.schur import Weight, schur_dim
 from detthick.zset import ZPair
 
@@ -169,3 +171,45 @@ def reg_j_by_chains(z: Partition, l: int, n: int) -> int:
     """Regularity of the factor labeled (z, l) as the general chain sum: the
     maximum of |z| + |t| - l - f over its chains t, each closed by l."""
     return max(z.size + sum(t) - l - f_value(z, l, t) for t in reg_tuples(z, l, n))
+
+
+def _u_candidates(l: int, k: int) -> list[Partition]:
+    # u in P_k with u_1 = l (u empty when l = 0)
+    if l == 0:
+        return [Partition()]
+    return [Partition((l,) + tail.parts) for tail in enumerate_partitions(k - 1, l)]
+
+
+def _yu_values(l: int, p: int, n: int, d: int) -> Iterator[int]:
+    k = n - l
+    us = _u_candidates(l, k)
+    for y in enumerate_partitions(k, d - 1):
+        if y.size > d * (p - l) - 1:
+            continue
+        if y.size - y.part(1) < d * (p - 1 - l):
+            continue
+        for u in us:
+            if any(
+                y.part(i) - y.part(i + 1) < u.part(i) - u.part(i + 1)
+                for i in range(1, k)
+            ):
+                continue
+            corr = sum(
+                u.part(i + 1) * ((y.part(i) - y.part(i + 1)) - (u.part(i) - u.part(i + 1)))
+                for i in range(1, k)
+            )
+            yield l * y.part(1) + y.size + u.size - corr
+
+
+def r_bruteforce_reference(l: int, p: int, n: int, d: int) -> RegValue:
+    """Level-l regularity bound by direct search over the partition-pair region.
+
+    The search as first written, over ``Partition`` objects from
+    ``enumerate_partitions``.  Enumeration uses the proven caps y_1 <= d-1
+    and u inside the l-column box; returns -inf when the region is empty.
+    """
+    if not 0 <= l < p <= n:
+        raise ValueError(f"need 0 <= l < p <= n, got l={l}, p={p}, n={n}")
+    if d < 1:
+        raise ValueError(f"need d >= 1, got d={d}")
+    return max(_yu_values(l, p, n, d), default=NEG_INF)

@@ -19,6 +19,7 @@ from detthick.regularity import (
     reg_tuples,
 )
 from detthick.zset import zset_general
+from oracles import r_bruteforce_reference
 
 
 def test_reg_tuples_level_zero():
@@ -189,6 +190,47 @@ def test_optimization_brute_force_frozen_values():
     assert r_bruteforce(0, 2, 3, 4) == 7
 
 
+def test_search_matches_reference():
+    # the tuple search equals the Partition-based one on every level of
+    # n <= 7, d <= 10, -inf included, and refuses the same bad arguments
+    def outcome(search, *args):
+        try:
+            return search(*args)
+        except ValueError:
+            return ValueError
+
+    for n in range(1, 8):
+        for p in range(1, n + 1):
+            for l in range(p):
+                for d in range(1, 11):
+                    assert r_bruteforce(l, p, n, d) == r_bruteforce_reference(l, p, n, d), (l, p, n, d)
+    for n in range(-1, 4):
+        for p in range(-1, n + 2):
+            for l in range(-1, p + 2):
+                for d in range(-1, 2):
+                    got = outcome(r_bruteforce, l, p, n, d)
+                    assert got == outcome(r_bruteforce_reference, l, p, n, d), (l, p, n, d)
+    assert outcome(r_bruteforce, 0, 2, 3, 0) is ValueError
+    assert outcome(r_bruteforce, 2, 2, 3, 1) is ValueError
+
+
+def test_search_builds_no_partition(monkeypatch):
+    built = []
+    new = Partition.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(cls)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Partition, "__new__", counted)
+    r_bruteforce_reference(1, 3, 4, 2)
+    assert built, "the count sees the reference search's partitions"
+    built.clear()
+    assert not any(closed_form_valid(l, 3, 7, 4) for l in range(3))
+    reg_power_details(3, 4, 7, 7, "power")
+    assert built == []
+
+
 def test_closed_form_matches_brute_force():
     for n in range(2, 7):
         for p in range(1, n):
@@ -269,9 +311,10 @@ def test_satpower_needs_thickness():
 
 
 def test_linear_resolution_trichotomy():
-    for n in range(2, 7):
+    # d <= 8 for every n, and up to n + 1 at n = 8
+    for n in range(2, 9):
         for p in range(1, n + 1):
-            for d in range(1, 9):
+            for d in range(1, max(9, n + 2)):
                 expect = p == 1 or p == n or (p == 2 and d >= n - 1)
                 assert has_linear_resolution(p, d, n) == expect, (p, d, n)
 
