@@ -7,7 +7,10 @@ flag as resolved, with ideals normalized to their generators, ``--m``
 defaulted to ``--n`` and ``--deg``/``--window`` replaced by the window used,
 so the exact invocation can be replayed.  ``run`` builds the request in one
 place for every command.  Each command is one entry of ``_COMMANDS``, which
-holds its flags, its computation and its two renderers.
+holds its flags, its computation and its two renderers.  JSON documents are
+written by ``_json_text``, whose output is byte-identical to ``json.dumps(doc,
+indent=2, sort_keys=True)``; with ``indent`` set that call never takes the C
+encoder, and on a wide Ext window it would cost more than the computation.
 """
 
 from __future__ import annotations
@@ -108,6 +111,44 @@ def _reg_json(v) -> Optional[int]:
 
 
 # ---------------------------------------------------------------- rendering
+
+
+def _json_text(obj, pad: str) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` for what a CLI document holds.
+
+    ``pad`` is a newline and the indent of the line ``obj`` starts on ("\\n" at
+    the top).  Dicts with str keys, lists, str, int, bool and None are written
+    byte for byte as ``json.dumps`` writes them, strings through the escaper it
+    uses; a list of exact ints is one join.  Anything else raises TypeError.
+    """
+    from json.encoder import encode_basestring_ascii as quote  # only JSON runs load json
+
+    def text(obj, pad: str) -> str:
+        kind = type(obj)
+        if kind is str:
+            return quote(obj)
+        if kind is int:
+            return repr(obj)
+        if obj is None:
+            return "null"
+        if kind is bool:
+            return "true" if obj else "false"
+        inner = pad + "  "
+        if kind is list:
+            if not obj:
+                return "[]"
+            ints = set(map(type, obj)) == {int}
+            items = map(repr, obj) if ints else [text(v, inner) for v in obj]
+            return "[" + inner + ("," + inner).join(items) + pad + "]"
+        if kind is dict:
+            if not obj:
+                return "{}"
+            # quote raises TypeError on a key that is not a str
+            items = [quote(k) + ": " + text(obj[k], inner) for k in sorted(obj)]
+            return "{" + inner + ("," + inner).join(items) + pad + "}"
+        raise TypeError(f"no JSON form for {kind.__name__} in a CLI document")
+
+    return text(obj, pad)
 
 
 def _fmt_partition(parts: Sequence[int]) -> str:
@@ -566,10 +607,8 @@ def run(argv: Sequence[str]) -> str:
     if "window" in result:
         request["window"] = result["window"]
     if args.json:
-        import json  # only JSON runs pay for the module
-
         doc = {"schema": SCHEMA, "command": args.command, "request": request, "result": result}
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return _json_text(doc, "\n") + "\n"
     render = cmd.latex if args.latex else cmd.text
     return render(request, result)
 

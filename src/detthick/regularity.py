@@ -13,6 +13,7 @@ finite values are exact integers.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from operator import ge, mul
 from typing import Union
@@ -82,6 +83,10 @@ def reg_quotient(X: IdealSpec, m: int, n: int) -> RegValue:
     return max(reg_j(pair.z, pair.l, n) for pair in zset_general(X).pairs)
 
 
+_SEARCH_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=_SEARCH_CACHE_SIZE)
 def r_bruteforce(l: int, p: int, n: int, d: int) -> RegValue:
     """Level-l regularity bound by direct search over the partition-pair region.
 
@@ -96,6 +101,9 @@ def r_bruteforce(l: int, p: int, n: int, d: int) -> RegValue:
     so weakly decreasing: exactly the partitions in the k x c box, zero-padded,
     C(k + c, k) of them.  Each u's steps, parts u_(i+1) and |u| are taken once
     per call, so a pair costs one elementwise test and one dot product.
+    Results are memoised per (l, p, n, d) in a bounded LRU cache, since the
+    kinds and tables of a family share levels; ``r_bruteforce.cache_clear()``
+    empties it.
     """
     if not 0 <= l < p <= n:
         raise ValueError(f"need 0 <= l < p <= n, got l={l}, p={p}, n={n}")

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from detthick import cli
 from detthick.cli import IdealSpecSyntaxError, main, parse_ideal_spec, run
@@ -288,3 +289,43 @@ def test_run_builds_the_parser_once(monkeypatch):
     first = run(["bblsz-table", "--dmax", "2", "--json"])
     assert run(["bblsz-table", "--dmax", "2", "--json"]) == first
     assert len(built) == 1
+
+
+# ---------------------------------------------------------------- the JSON writer
+
+# quotes, backslashes, control characters, DEL, non-ASCII, a line separator
+# and an astral character (written as a surrogate pair)
+_AWKWARD = st.text(st.sampled_from('a "\\/\x00\x08\x1f\x7f\u00e9\u2028\U0001f600'))
+_INTS = st.integers() | st.integers(min_value=2**64) | st.integers(max_value=-(2**64))
+_SCALARS = st.none() | st.booleans() | _INTS | st.text() | _AWKWARD
+# lists of ints, and lists that mix ints and bools
+_INT_LISTS = st.lists(_INTS) | st.lists(_INTS | st.booleans(), min_size=1)
+_DOCS = st.recursive(
+    _SCALARS | _INT_LISTS,
+    lambda inner: st.lists(inner) | st.dictionaries(st.text() | _AWKWARD, inner),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_DOCS)
+def test_json_text_equals_json_dumps(doc):
+    assert cli._json_text(doc, "\n") == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        1.5,
+        {"a": [1, 2, 0.5]},
+        (1, 2),
+        {"a": {"b": (1,)}},
+        [Partition([2, 1])],  # a tuple subclass
+        {1: "a"},
+        {"a": {None: 1}},
+        {"a": 1, 2: 3},
+    ],
+)
+def test_json_text_refuses_other_types(doc):
+    with pytest.raises(TypeError):
+        cli._json_text(doc, "\n")

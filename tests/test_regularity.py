@@ -359,3 +359,18 @@ def test_proven_levels_skip_the_search(monkeypatch):
     assert not closed_form_valid(0, 2, 6, 3)
     reg_power_details(2, 3, 6, 6, "power")
     assert sorted(calls) == [0, 1]
+
+
+def test_kinds_share_each_level_search():
+    # power then satpower then symbolic at one (p, d, n) outside the closed form:
+    # the levels the later kinds share with power are looked up, not searched
+    p, d, n = 3, 4, 7
+    assert not any(closed_form_valid(l, p, n, d) for l in range(p))
+    r_bruteforce.cache_clear()
+    _, power = reg_power_details(p, d, n, n, "power")
+    assert r_bruteforce.cache_info()[:2] == (0, 3)  # (hits, misses)
+    _, sat = reg_power_details(p, d, n, n, "satpower")
+    _, sym = reg_power_details(p, d, n, n, "symbolic")
+    assert r_bruteforce.cache_info()[:2] == (3, 3)
+    assert sat == {1: power[1], 2: power[2]} and sym == {2: power[2]}
+    assert power == {l: r_bruteforce_reference(l, p, n, d) for l in range(p)}
