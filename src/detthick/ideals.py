@@ -8,8 +8,8 @@ partition combinatorics on that antichain.  The matrix never appears.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
 from .partitions import EMPTY, Partition, enumerate_partitions, leq, sup
@@ -70,9 +70,7 @@ class IdealSpec(_Frozen):
     def __init__(self, n: int, gens: frozenset[Partition]) -> None:
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
-        for g in gens:
-            if g.nparts > n:
-                raise ValueError(f"generator {g} has more than {n} parts")
+        _check_rows(gens, n)
         if EMPTY in gens and len(gens) != 1:
             raise ValueError("the unit ideal must be generated by the empty partition alone")
         for b, a in _below(gens):
@@ -97,7 +95,11 @@ class IdealSpec(_Frozen):
         return self.gens == frozenset([EMPTY])
 
     def sorted_gens(self) -> list[Partition]:
-        return sorted(self.gens, key=lambda g: (g.size, g.parts))
+        # (size, parts) order: two sorts in C with no Python key, by the parts and then,
+        # stably, by the size
+        out = sorted(self.gens)
+        out.sort(key=sum)
+        return out
 
     def to_json(self) -> dict:
         return {"n": self.n, "gens": [g.to_json() for g in self.sorted_gens()]}
@@ -109,20 +111,35 @@ class IdealSpec(_Frozen):
 
 
 def _below(gens: Iterable[Partition]) -> Iterator[tuple[Partition, Optional[Partition]]]:
-    # each partition of a set in order of size, with one of the set strictly
-    # below it or None; h < g needs |h| < |g|, so only smaller sizes are tested
-    gl = sorted(gens, key=lambda g: g.size)
-    sizes = [g.size for g in gl]
-    for g in gl:
-        yield g, next((h for h in gl[: bisect_left(sizes, g.size)] if leq(h, g)), None)
+    # each partition of a set in order of size, with one of the set strictly below it or None.
+    # h < g needs |h| < |g|, and below any h lies a minimal one, so g is tested only against
+    # the minimal ones of the size classes before its own; the least class, with nothing in
+    # the set strictly below it, yields None untested
+    pool = list(gens)
+    lower: list[Partition] = []  # the minimal ones of the classes before g's
+    last: list[Partition] = []  # the minimal ones of g's class so far
+    size = None
+    for s, g in sorted(zip(map(sum, pool), pool), key=itemgetter(0)):
+        if s != size:
+            lower += last
+            last, size = [], s
+        h = next((h for h in lower if leq(h, g)), None) if lower else None
+        if h is None:
+            last.append(g)
+        yield g, h
+
+
+def _check_rows(gens: frozenset | set, n: int) -> None:
+    # every generator lies in P_n: at most n parts
+    if gens and max(map(len, gens)) > n:
+        g = next(g for g in gens if len(g) > n)
+        raise ValueError(f"generator {g} has more than {n} parts")
 
 
 def normalize(n: int, raw: Iterable[Partition]) -> IdealSpec:
     """Build an IdealSpec from any generator list, keeping minimal elements."""
     pool = set(raw)
-    for g in pool:
-        if g.nparts > n:
-            raise ValueError(f"generator {g} has more than {n} parts")
+    _check_rows(pool, n)
     return IdealSpec(n, frozenset(g for g, h in _below(pool) if h is None))
 
 
@@ -164,16 +181,17 @@ def saturate(X: IdealSpec, p: int) -> IdealSpec:
     Each generator keeps exactly its columns of height > p; with p=0
     nothing is stripped from nonempty generators.  p=1 is saturation by
     the irrelevant maximal ideal.
+
+    Column c of g has height #{i : g_i >= c}, which is > p exactly when
+    g_(p+1) >= c, as the parts are weakly decreasing.  So the columns of
+    height > p are the first g_(p+1) (none when g has at most p parts),
+    and g is stripped to ``g.truncate(g.part(p + 1))``.
     """
     if not 0 <= p:
         raise ValueError(f"saturation index {p} is negative")
     if p > X.n:
         raise ValueError(f"saturation index {p} exceeds n={X.n}")
-    stripped = []
-    for g in X.gens:
-        c = sum(1 for h in g.conjugate().parts if h > p)
-        stripped.append(g.truncate(c))
-    return normalize(X.n, stripped)
+    return normalize(X.n, [g.truncate(g.part(p + 1)) for g in X.gens])
 
 
 def power_gens(p: int, d: int, n: int) -> IdealSpec:

@@ -5,14 +5,17 @@ A partition is a weakly decreasing tuple of positive integers, and a
 its parts.  Trailing zeros are accepted on input and never stored, so
 ``(4, 2, 1, 0)`` and ``(4, 2, 1)`` denote the same object.  Indexing is
 0-based like any tuple; :meth:`Partition.part` reads parts 1-based, and
-every part past the stored length reads 0 there.  All arithmetic is exact
+every part past the stored length reads 0 there.  Each part must be an
+integer by ``operator.index``: a float, a string or any other object that
+``int()`` would convert is refused with ValueError.  All arithmetic is exact
 (Python integers).
 """
 
 from __future__ import annotations
 
 from math import comb
-from typing import Iterable, Iterator, Optional
+from operator import index, le
+from typing import Iterable, Optional
 
 
 class Partition(tuple):
@@ -21,14 +24,25 @@ class Partition(tuple):
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
-        ps = [int(p) for p in parts]
+        ps = tuple(parts)  # kept, so that a refused part can be named
+        try:
+            ps = [index(p) for p in ps]
+        except TypeError:
+            for p in ps:
+                try:
+                    index(p)
+                except TypeError:
+                    raise ValueError(f"part {p!r} is not an integer in {ps!r}") from None
+            raise
         while ps and ps[-1] == 0:
             ps.pop()
-        for i, p in enumerate(ps):
+        prev = ps[0] if ps else 0
+        for p in ps:
             if p <= 0:
                 raise ValueError(f"part {p} is not positive in {ps}")
-            if i and ps[i - 1] < p:
+            if prev < p:
                 raise ValueError(f"parts not weakly decreasing: {ps}")
+            prev = p
         return tuple.__new__(cls, ps)
 
     @classmethod
@@ -90,9 +104,7 @@ EMPTY = Partition()
 
 def leq(x: Partition, y: Partition) -> bool:
     """Componentwise order: x_i <= y_i for every i (diagram containment)."""
-    if x.nparts > y.nparts:
-        return False
-    return all(a <= b for a, b in zip(x.parts, y.parts))
+    return len(x) <= len(y) and all(map(le, x, y))
 
 
 def sup(x: Partition, y: Partition) -> Partition:
@@ -101,19 +113,29 @@ def sup(x: Partition, y: Partition) -> Partition:
     return Partition(max(x.part(i), y.part(i)) for i in range(1, k + 1))
 
 
-def _desc_lex(size: int, maxpart: int, slots: int) -> Iterator[tuple[int, ...]]:
-    # Partitions of `size` with at most `slots` parts each <= maxpart,
-    # emitted in descending lexicographic order.
+def _desc_lex(out: list, size: int, maxpart: int, slots: int) -> None:
+    # append to out the partitions of `size` with at most `slots` parts each <= maxpart,
+    # in descending lexicographic order; enumerate_partitions proves the order and the set
     if size == 0:
-        yield ()
+        out.append(Partition())
         return
     if slots == 0 or maxpart == 0:
         return
-    top = min(maxpart, size)
-    lo = -(-size // slots)  # ceil: the first part of any such partition
-    for first in range(top, lo - 1, -1):
-        for rest in _desc_lex(size - first, first, slots - 1):
-            yield (first,) + rest
+    prefix = [0] * slots
+
+    def rec(i: int, rest: int, top: int) -> None:
+        # parts i, i+1, ... of prefix: each way to write rest as at most slots - i parts,
+        # each <= top and <= the one before it, in descending lexicographic order
+        if rest <= top:  # the largest part i can take ends the partition
+            prefix[i] = rest
+            out.append(Partition(prefix[: i + 1]))
+            top = rest - 1
+        for first in range(top, -(-rest // (slots - i)) - 1, -1):
+            prefix[i] = first
+            rec(i + 1, rest - first, first)
+
+    rec(0, size, maxpart)
+    del rec  # the closure holds its own cell: break the cycle
 
 
 def enumerate_partitions(
@@ -122,17 +144,33 @@ def enumerate_partitions(
     """All partitions in the rows x cols box, optionally of an exact size.
 
     Canonical order: ascending by size, descending lexicographic within
-    each size.  Without the size filter the count is binom(rows+cols, rows).
+    each size.  Without the size filter the count is binom(rows+cols, rows),
+    checked on every call.
+
+    Each size r is one recursion that fixes the parts left to right in one
+    prefix list: part i takes each value from min(r', bound) down to
+    ceil(r' / s) inclusive, where r' is what is left of r, s the slots left
+    (rows minus the parts fixed) and bound the part before it (cols for the
+    first).  Each part is at most the one before it, so each result is
+    weakly decreasing and in the box.  Each part is at least ceil(r' / s),
+    and ceil(r' / s) > 0 as r' > 0, so every part is positive; and
+    ceil(r' / s) is the least value that lets s parts, none above it, hold
+    r'.  A partition of r in the box has, as its part i, some value in
+    that range, and so every one is reached, once; every branch of the
+    range reaches at least one, since what is left, r' - v, fits into
+    s - 1 parts each <= v.  A value v = r' ends the partition and is
+    appended; values go down, so the results come in descending
+    lexicographic order.  Each is built by the validated ``Partition``.
     """
     if rows < 0 or cols < 0:
         raise ValueError(f"negative box bound {rows}x{cols}")
-    if size is not None:
-        if size < 0:
-            return []
-        return [Partition(t) for t in _desc_lex(size, cols, rows)]
     out: list[Partition] = []
+    if size is not None:
+        if size >= 0:
+            _desc_lex(out, size, cols, rows)
+        return out
     for r in range(rows * cols + 1):
-        out.extend(Partition(t) for t in _desc_lex(r, cols, rows))
+        _desc_lex(out, r, cols, rows)
     if len(out) != comb(rows + cols, rows):
         raise RuntimeError(f"found {len(out)} partitions in the {rows}x{cols} box")
     return out

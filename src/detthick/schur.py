@@ -10,10 +10,11 @@ so one recursion (``_priced``) serves both, pricing each weight as its walk reac
 does not depend on the window, a region's plan (``_plan``: its fixed entries' factors and checks
 and each column's per-value factors), is built once per region, s, m and n and serves every later
 walk, and a walk sets each free entry in place on one mutable weight.  One pricer serves a factor
-in one degree and a Hilbert table: an l = 0 factor is S_z C^m (x) S_z C^n, two Weyl products; any
-other walks its region once, and only those regions are memoised per label.  A region with no
-free entry, such as an l = 0 label's one Ext chain, is a single weight: ``_priced`` prices it by
-the plan's own product, with no plan and no walk.
+in one degree and a Hilbert table: an l = 0 factor is S_z C^m (x) S_z C^n, priced by one Weyl
+product, that of z and its expansion at s = n; any other walks its region once, and only those
+regions are memoised per label.  A region with no free entry, such as an l = 0 label's one Ext
+chain, is a single weight: ``_priced`` prices it by the plan's own product, with no plan and no
+walk.
 """
 
 from __future__ import annotations
@@ -279,12 +280,17 @@ def _factor_region(zs: Weight, l: int) -> _Region:
 
 def _add_factor(table: GradedTable, zs: Weight, l: int, lo: int, hi: int, m: int, n: int) -> None:
     # add dim(x, m) * dim(x, n) into table[|x|] for each weight x of the factor labeled (zs, l),
-    # zs padded to n entries, with lo <= |x| <= hi: an l = 0 factor is zs alone, any other
-    # is its region's walk, priced as it goes
+    # zs padded to n entries, with lo <= |x| <= hi: an l = 0 factor is zs alone, priced as
+    # dim(zs, m) * dim(zs, n) by one product, that of zs and its expansion at s = n (zs and
+    # m - n zeros); any other is its region's walk, priced as it goes
     if not l:
         size = sum(zs)
         if lo <= size <= hi:
-            table[size] += schur_dim(zs, m) * schur_dim(zs, n)
+            num = _fixed_product(zs, range(n), n, m, n)
+            dim, r = divmod(num, _superfactorial(m) * _superfactorial(n))
+            if r:
+                raise RuntimeError(f"Weyl product for {zs} at m={m} is not an integer")
+            table[size] += dim
         return
     priced: list = []  # the list of every total
     _priced(_factor_region(zs, l), lo, hi, n, m, n, defaultdict(lambda: priced))

@@ -4,14 +4,17 @@ Each is written the plain way, from the definitions, with none of the engine's
 indexes, runs or memos: a weight's expansion across m >= n, a chain's weights
 in a degree window, the components of Ext at one j, the graded dimensions
 of a quotient by membership, a factor's regularity as the sum over its chains,
-and the level-l regularity bound by the partition-pair search over
-``Partition`` objects.
+the level-l regularity bound by the partition-pair search over ``Partition``
+objects, and the ideal builders as first written: partitions of a box by nested
+generators, minimal elements by testing every pair, saturation through the
+conjugate, and the keyed sort of generators.
 """
 
-from typing import Iterator, Optional, Sequence
+from math import comb
+from typing import Iterable, Iterator, Optional, Sequence
 
 from detthick.ext import ExtComponent, _check_label, index_tuples
-from detthick.ideals import member
+from detthick.ideals import IdealSpec, _check_pdn, member
 from detthick.partitions import Partition, enumerate_partitions
 from detthick.regularity import NEG_INF, RegValue, f_value, reg_tuples
 from detthick.schur import Weight, schur_dim
@@ -213,3 +216,78 @@ def r_bruteforce_reference(l: int, p: int, n: int, d: int) -> RegValue:
     if d < 1:
         raise ValueError(f"need d >= 1, got d={d}")
     return max(_yu_values(l, p, n, d), default=NEG_INF)
+
+
+def _desc_lex_reference(size: int, maxpart: int, slots: int) -> Iterator[tuple[int, ...]]:
+    # partitions of `size` with at most `slots` parts each <= maxpart, in descending
+    # lexicographic order, each yielded again through every level above it
+    if size == 0:
+        yield ()
+        return
+    if slots == 0 or maxpart == 0:
+        return
+    top = min(maxpart, size)
+    lo = -(-size // slots)  # ceil: the first part of any such partition
+    for first in range(top, lo - 1, -1):
+        for rest in _desc_lex_reference(size - first, first, slots - 1):
+            yield (first,) + rest
+
+
+def enumerate_partitions_reference(
+    rows: int, cols: int, size: Optional[int] = None
+) -> list[Partition]:
+    """The partitions of the rows x cols box as first enumerated, by nested
+    generators: ascending size, descending lexicographic within a size.  The
+    list, in its order, the engine must reproduce."""
+    if rows < 0 or cols < 0:
+        raise ValueError(f"negative box bound {rows}x{cols}")
+    if size is not None:
+        if size < 0:
+            return []
+        return [Partition(t) for t in _desc_lex_reference(size, cols, rows)]
+    out: list[Partition] = []
+    for r in range(rows * cols + 1):
+        out.extend(Partition(t) for t in _desc_lex_reference(r, cols, rows))
+    if len(out) != comb(rows + cols, rows):
+        raise RuntimeError(f"found {len(out)} partitions in the {rows}x{cols} box")
+    return out
+
+
+def minimal_reference(pool: Iterable[Partition]) -> frozenset[Partition]:
+    """The minimal elements of a set of partitions, each tested against every other."""
+    pool = set(pool)
+    return frozenset(
+        g for g in pool
+        if not any(h != g and len(h) <= len(g) and all(a <= b for a, b in zip(h, g))
+                   for h in pool)
+    )
+
+
+def saturate_reference(X: IdealSpec, p: int) -> IdealSpec:
+    """Saturation as first written: each generator keeps the columns its
+    conjugate shows to have height > p, then the minimal elements."""
+    if not 0 <= p <= X.n:
+        raise ValueError(f"need 0 <= p <= {X.n}, got p={p}")
+    stripped = [g.truncate(sum(1 for h in g.conjugate() if h > p)) for g in X.gens]
+    return IdealSpec(X.n, minimal_reference(stripped))
+
+
+def sorted_gens_reference(X: IdealSpec) -> list[Partition]:
+    """The generators in (size, parts) order by a key per generator."""
+    return sorted(X.gens, key=lambda g: (g.size, g.parts))
+
+
+def power_gens_reference(p: int, d: int, n: int) -> IdealSpec:
+    """The d-th power of the p x p minors from the reference enumeration."""
+    _check_pdn(p, d, n)
+    return IdealSpec(n, frozenset(enumerate_partitions_reference(n, d, size=p * d)))
+
+
+def symbolic_gens_reference(p: int, d: int, n: int) -> IdealSpec:
+    """The d-th symbolic power of the p x p minors from the reference enumeration."""
+    _check_pdn(p, d, n)
+    return IdealSpec(n, frozenset(
+        Partition((c0,) * p + tail)
+        for c0 in range(1, d + 1)
+        for tail in enumerate_partitions_reference(n - p, c0, size=d - c0)
+    ))

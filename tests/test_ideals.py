@@ -16,6 +16,13 @@ from detthick.ideals import (
     yset_gens,
 )
 from detthick.partitions import Partition, enumerate_partitions, leq
+from oracles import (
+    minimal_reference,
+    power_gens_reference,
+    saturate_reference,
+    sorted_gens_reference,
+    symbolic_gens_reference,
+)
 
 
 def part_in(n, max_part=5):
@@ -58,6 +65,10 @@ def test_comparable_generators_of_different_sizes_rejected():
         IdealSpec(3, frozenset(gens))
     with pytest.raises(ValueError, match="comparable"):
         IdealSpec(3, frozenset({Partition([1]), Partition([3, 3, 3]), Partition([2, 2])}))
+    # the least size class, an antichain, is not tested; a generator four sizes up lies
+    # above both of its members
+    with pytest.raises(ValueError, match="comparable"):
+        IdealSpec(3, frozenset({Partition([2]), Partition([1, 1]), Partition([3, 2, 1])}))
 
 
 @given(st.integers(min_value=1, max_value=4), st.data())
@@ -96,15 +107,14 @@ def test_normalize_keeps_minimal_elements():
     assert U.is_unit
 
 
-@given(st.integers(min_value=1, max_value=4), st.data())
+@given(st.integers(min_value=1, max_value=5), st.data())
 @settings(max_examples=200)
 def test_normalize_keeps_exactly_the_minimal_elements(n, data):
-    # brute force over every pair of the list, repeats and the empty partition included
+    # the all-pairs reference over the list, repeats and the empty partition included
     raw = data.draw(
-        st.lists(st.one_of(part_in(n, max_part=4), st.just(Partition([]))), min_size=1, max_size=8)
+        st.lists(st.one_of(part_in(n, max_part=5), st.just(Partition([]))), min_size=1, max_size=12)
     )
-    minimal = {g for g in raw if not any(h != g and leq(h, g) for h in raw)}
-    assert normalize(n, raw).gens == frozenset(minimal)
+    assert normalize(n, raw).gens == minimal_reference(raw)
 
 
 def test_normalize_of_one_size_makes_no_comparisons(monkeypatch):
@@ -205,6 +215,26 @@ def test_saturate_is_idempotent_and_grows(n, data):
             assert subideal(S, saturate(X, p + 1))
 
 
+@given(st.integers(min_value=1, max_value=5), st.data())
+@settings(max_examples=100)
+def test_saturate_equals_the_conjugate_reference(n, data):
+    X = data.draw(ideal_in(n, max_gens=6))
+    for p in range(n + 1):
+        assert saturate(X, p) == saturate_reference(X, p)
+
+
+@pytest.mark.parametrize("p, d, n", [(1, 4, 3), (2, 5, 4), (3, 6, 5), (2, 4, 6), (6, 2, 6)])
+def test_builders_equal_their_references(p, d, n):
+    assert power_gens(p, d, n) == power_gens_reference(p, d, n)
+    assert symbolic_gens(p, d, n) == symbolic_gens_reference(p, d, n)
+    X = power_gens(p, d, n)
+    for q in range(n + 1):
+        assert saturate(X, q) == saturate_reference(X, q)
+    for Y in (X, symbolic_gens(p, d, n), saturate(X, 1)):
+        assert Y.sorted_gens() == sorted_gens_reference(Y)
+        assert Y.to_json()["gens"] == [list(g) for g in sorted_gens_reference(Y)]
+
+
 def test_power_gens_examples():
     X = power_gens(2, 2, 3)
     assert set(X.sorted_gens()) == {
@@ -294,6 +324,16 @@ def test_str_and_json():
     d = X.to_json()
     assert d["n"] == 3
     assert sorted(d["gens"]) == [[2, 1, 1], [2, 2]]
+
+
+@given(st.integers(min_value=1, max_value=5), st.data())
+@settings(max_examples=100)
+def test_sorted_gens_and_json_keep_the_reference_order(n, data):
+    X = data.draw(st.one_of(ideal_in(n, max_gens=8), st.just(IdealSpec.zero(n)),
+                            st.just(IdealSpec.unit(n))))
+    ordered = sorted_gens_reference(X)
+    assert X.sorted_gens() == ordered
+    assert X.to_json() == {"n": n, "gens": [list(g) for g in ordered]}
 
 
 def _refuse(*args):

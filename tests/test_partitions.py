@@ -11,6 +11,7 @@ from detthick.partitions import (
     leq,
     sup,
 )
+from oracles import enumerate_partitions_reference
 
 
 def parts_strategy(max_rows=6, max_part=8):
@@ -43,6 +44,26 @@ def test_construction_rejects_bad_input():
     assert rebuild(*args) == (2, 1)
     with pytest.raises(ValueError, match="not weakly decreasing"):
         rebuild(args[0], (1, 2))
+
+
+class _Two:
+    def __index__(self):
+        return 2
+
+
+def test_construction_refuses_parts_that_are_not_integers():
+    # each part goes through operator.index: no float, str or other object int() would convert
+    with pytest.raises(ValueError, match=r"part 2\.5 is not an integer"):
+        Partition([2.5, 1])
+    with pytest.raises(ValueError, match="part '3' is not an integer"):
+        Partition(["3", "1"])
+    with pytest.raises(ValueError, match="part '3' is not an integer"):
+        Partition("321")
+    with pytest.raises(ValueError, match=r"part 1\.0 is not an integer"):
+        Partition(p for p in (3, 1.0))
+    # a part that is an integer by __index__ is its integer
+    x = Partition([3, _Two(), True])
+    assert x == (3, 2, 1) and all(type(p) is int for p in x)
 
 
 @pytest.mark.parametrize(
@@ -154,6 +175,17 @@ def test_enumerate_box_cardinality():
             got = enumerate_partitions(rows, cols)
             assert len(got) == comb(rows + cols, rows)
             assert len(set(got)) == len(got)
+
+
+@pytest.mark.parametrize("rows", range(7))
+def test_enumerate_equals_the_nested_generators(rows):
+    # the same list in the same order as the reference, whole box and each size
+    for cols in range(7):
+        assert enumerate_partitions(rows, cols) == enumerate_partitions_reference(rows, cols)
+        for size in range(-1, rows * cols + 2):
+            got = enumerate_partitions(rows, cols, size=size)
+            assert got == enumerate_partitions_reference(rows, cols, size=size)
+            assert all(type(x) is Partition for x in got)
 
 
 def test_enumerate_order_is_size_then_desc_lex():

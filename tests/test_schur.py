@@ -8,7 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from detthick import cli, ext, ideals, schur
 from detthick.ext import enumerate_weights, ext_graded, index_tuples
-from detthick.ideals import IdealSpec, member, normalize, power_gens, succ_gens, symbolic_gens
+from detthick.ideals import (
+    IdealSpec, member, normalize, power_gens, saturate, succ_gens, symbolic_gens,
+)
 from detthick.partitions import Partition, enumerate_partitions, leq
 from detthick.schur import (
     graded_table_to_json,
@@ -661,3 +663,29 @@ def test_quotient_dim_makes_no_membership_tests(monkeypatch):
 def test_graded_table_json_uses_strings():
     doc = graded_table_to_json({-22: 1287, 0: 1})
     assert doc == {"-22": "1287", "0": "1"}
+
+
+def test_l0_factor_is_the_product_of_two_weyl_dimensions():
+    # each l = 0 label of powers, symbolic and saturated powers at n <= 6, priced by the one
+    # product of z and its expansion, equals dim(z, m) * dim(z, n)
+    ideals_ = []
+    for n in range(1, 7):
+        for p in range(1, n + 1):
+            for d in (1, 2, 4):
+                ideals_ += [power_gens(p, d, n), symbolic_gens(p, d, n),
+                            saturate(power_gens(p, d, n), 1)]
+    seen = 0
+    for X in ideals_:
+        n = X.n
+        if X.is_unit:  # a saturated power of the 1 x 1 minors
+            continue
+        for pair in zset_general(X).pairs:
+            if pair.l:
+                continue
+            zs = pair.z.parts + (0,) * (n - pair.z.nparts)
+            for m in (n, n + 1, n + 3):
+                table = defaultdict(int)
+                schur._add_factor(table, zs, 0, 0, pair.z.size, m, n)
+                assert dict(table) == {pair.z.size: schur_dim(zs, m) * schur_dim(zs, n)}
+                seen += 1
+    assert seen > 300
