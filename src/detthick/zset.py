@@ -19,7 +19,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import NamedTuple
 
-from .ideals import IdealSpec, _check_pdn, _Frozen
+from .ideals import _IDEAL_MEMO_SIZE, IdealSpec, _check_pdn, _Frozen
 from .partitions import Partition, enumerate_partitions
 
 
@@ -107,10 +107,8 @@ def _check_pair(pair: ZPair, n: int) -> ZPair:
     return pair
 
 
-_LABEL_CACHE_SIZE = 64
-
-
-@lru_cache(maxsize=_LABEL_CACHE_SIZE)
+# saves recomputing an ideal's labels for each Ext, regularity, Hilbert and Kodaira call on it
+@lru_cache(maxsize=_IDEAL_MEMO_SIZE)
 def zset_general(X: IdealSpec) -> ZSet:
     """Factor labels of S/I_X for a proper nonzero invariant ideal.
 

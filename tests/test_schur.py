@@ -419,21 +419,26 @@ def test_factor_dimension_matches_direct_enumeration(n, m):
                 assert j_graded_dim(z, l, r, m, n) == expected, (z, l, r)
 
 
-def test_factor_regions_are_built_once_per_label():
-    # the regions are memoised per (z, l): a second sweep over the degrees builds none
+def test_factor_regions_are_built_once_per_ideal(monkeypatch):
+    # the regions live in the ideal's label memo: a second sweep over the degrees builds no
+    # region and no plan
     X = power_gens(2, 3, 3)
-    schur._factor_region.cache_clear()
+    schur._labels_by_size.cache_clear()
+    schur._plan.cache_clear()
+    region, built = schur._factor_region, []
+    monkeypatch.setattr(schur, "_factor_region", lambda *zl: built.append(zl) or region(*zl))
     first = [quotient_graded_dim(X, r, 4, 3) for r in range(12)]
-    built = schur._factor_region.cache_info().misses
-    assert built
+    regions, plans = len(built), schur._plan.cache_info().misses
+    assert regions and plans
     assert [quotient_graded_dim(X, r, 4, 3) for r in range(12)] == first
-    assert schur._factor_region.cache_info().misses == built
+    assert len(built) == regions and schur._plan.cache_info().misses == plans
 
 
 def test_factors_with_l_zero_build_no_region(monkeypatch):
-    # an l = 0 factor is z alone: neither one degree of it nor a Hilbert table builds its region
+    # an l = 0 factor is z alone: neither one degree of it nor a Hilbert table builds its region,
+    # and the table builds each other label's region once
     region = schur._factor_region
-    region.cache_clear()
+    schur._labels_by_size.cache_clear()
     asked = []
     monkeypatch.setattr(schur, "_factor_region", lambda *zl: asked.append(zl) or region(*zl))
     for z in enumerate_partitions(3, 3):
@@ -443,7 +448,8 @@ def test_factors_with_l_zero_build_no_region(monkeypatch):
     assert {bool(p.l) for p in zset_general(X).pairs if p.z.size <= 12} == {False, True}
     quotient_hilbert_table(X, 0, 12, 4, 3)
     assert asked and all(l for _, l in asked)
-    assert region.cache_info().misses == len(set(asked))
+    padded = [(p.z.parts + (0,) * (3 - p.z.nparts), p.l) for p in zset_general(X).pairs if p.l]
+    assert sorted(asked) == sorted(padded)
 
 
 def test_factor_dimension_below_size_is_zero():
@@ -685,7 +691,7 @@ def test_l0_factor_is_the_product_of_two_weyl_dimensions():
             zs = pair.z.parts + (0,) * (n - pair.z.nparts)
             for m in (n, n + 1, n + 3):
                 table = defaultdict(int)
-                schur._add_factor(table, zs, 0, 0, pair.z.size, m, n)
+                schur._add_factor(table, zs, None, 0, pair.z.size, m, n)
                 assert dict(table) == {pair.z.size: schur_dim(zs, m) * schur_dim(zs, n)}
                 seen += 1
     assert seen > 300
