@@ -7,7 +7,12 @@ flag as resolved, with ideals normalized to their generators, ``--m``
 defaulted to ``--n`` and ``--deg``/``--window`` replaced by the window used,
 so the exact invocation can be replayed.  ``run`` builds the request in one
 place for every command.  Each command is one entry of ``_COMMANDS``, which
-holds its flags, its computation and its two renderers.  JSON documents are
+holds its flags, its computation and its two renderers; ``_parse`` reads the
+command line from that table and builds the help text from it.  It takes
+flags in any order, keeps a repeated flag's last value and reads negative
+integers as values, as argparse did, but refuses abbreviated flags and the
+``--flag=value`` form.  A malformed command line, like any bad input, ends in
+one ``error:`` line and exit status 1.  JSON documents are
 written by ``_json_text``, whose output is byte-identical to ``json.dumps(doc,
 indent=2, sort_keys=True)``; with ``indent`` set that call never takes the C
 encoder, and on a wide Ext window it would cost more than the computation.
@@ -15,9 +20,8 @@ encoder, and on a wide Ext window it would cost more than the computation.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import sys
+from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .ext import ext_graded, ext_map_parts
@@ -494,7 +498,8 @@ def _cmd_bblsz(args) -> dict:
 
 
 def _flag(*names: str, **kw) -> tuple[tuple[str, ...], dict]:
-    """The arguments of one ``add_argument`` call."""
+    """One flag of a command: its name and the argparse keywords ``_parse`` reads
+    (type, required, nargs, choices, default, action, metavar and help)."""
     return names, kw
 
 
@@ -515,7 +520,7 @@ class _Command(NamedTuple):
     help: str
     takes_mn: bool  # --m/--n, validated before compute runs
     flags: tuple[tuple[tuple[str, ...], dict], ...]
-    compute: Callable[[argparse.Namespace], dict]  # the result; ideal flags arrive parsed
+    compute: Callable[[SimpleNamespace], dict]  # the result; ideal flags arrive parsed
     text: Callable[[dict, dict], str]
     latex: Callable[[dict, dict], str]
 
@@ -549,25 +554,131 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="detthick",
-        description="Exact Ext, regularity and vanishing computations for "
-        "invariant determinantal thickenings.",
-    )
-    sub = top.add_subparsers(dest="command", required=True)
-    for name, cmd in _COMMANDS.items():
-        sp = sub.add_parser(name, help=cmd.help)
-        mn = (_M, _N) if cmd.takes_mn else ()
-        for names, kw in (*mn, *cmd.flags, _JSON, _LATEX):
-            sp.add_argument(*names, **kw)
-    return top
+_HELP = ("-h", "--help")
+_DESCRIPTION = (
+    "Exact Ext, regularity and vanishing computations for invariant determinantal thickenings."
+)
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # built on the first run, not at import, and shared by later runs
-    return build_parser()
+def _all_flags(cmd: _Command) -> tuple[tuple[tuple[str, ...], dict], ...]:
+    """Every flag ``cmd`` takes, in the order of its help."""
+    mn = (_M, _N) if cmd.takes_mn else ()
+    return (*mn, *cmd.flags, _JSON, _LATEX)
+
+
+def _dest(flag: str) -> str:
+    # the attribute a flag sets: --emit-m2 sets emit_m2
+    return flag[2:].replace("-", "_")
+
+
+def _is_value(token: str) -> bool:
+    # as argparse reads a token: "-" alone and negative ints are values, any
+    # other token starting with "-" is a flag
+    return token[:1] != "-" or token == "-" or token[1:].isdecimal()
+
+
+def _help(name: Optional[str]) -> str:
+    """The help text of one command, or of the program when ``name`` is None."""
+    if name is None:
+        rows = [(cmd_name, cmd.help) for cmd_name, cmd in _COMMANDS.items()]
+        head = ["usage: detthick COMMAND [FLAGS]", "", _DESCRIPTION, "", "commands:"]
+        foot = ["", "detthick COMMAND --help lists the flags of one command."]
+    else:
+        rows = [("-h, --help", "show this help")]
+        for (flag,), kw in _all_flags(_COMMANDS[name]):
+            if kw.get("action") == "store_true":
+                metavar: tuple = ()
+            elif "choices" in kw:
+                metavar = ("{" + ",".join(kw["choices"]) + "}",)
+            else:
+                metavar = kw.get("metavar", _dest(flag).upper())
+                metavar = metavar if isinstance(metavar, tuple) else (metavar,)
+            notes = [kw["help"]] if "help" in kw else []
+            if kw.get("required"):
+                notes.append("(required)")
+            elif "default" in kw:
+                notes.append(f"(default: {kw['default']})")
+            rows.append((" ".join((flag, *metavar)), " ".join(notes)))
+        head = [f"usage: detthick {name} [FLAGS]", "", _COMMANDS[name].help, "", "flags:"]
+        foot = []
+    width = max(len(left) for left, _ in rows) + 2
+    lines = [f"  {left:<{width}}{right}".rstrip() for left, right in rows]
+    return "\n".join(head + lines + foot) + "\n"
+
+
+def _parse(argv: Sequence[str]) -> SimpleNamespace | str:
+    """The flags of a command line, or the help text it asks for.
+
+    ``argv[0]`` names the command; then come ``--flag value`` pairs
+    (``--window LO HI`` takes two values) and switches such as ``--json``, in
+    any order, the last of a repeated flag winning.  The result has what
+    argparse's namespace had: ``command``, each flag's value under its dest,
+    and each flag not given at its default (None, or False for a switch).
+    Any other command line raises ValueError; unlike argparse, a flag is
+    never abbreviated and never written ``--flag=value``.
+    """
+    if not argv:
+        raise ValueError(f"no command given; choose from {', '.join(_COMMANDS)}")
+    name = argv[0]
+    if name in _HELP:
+        return _help(None)
+    if name not in _COMMANDS:
+        raise ValueError(f"unknown command {name!r}; choose from {', '.join(_COMMANDS)}")
+    flags = {names[0]: kw for names, kw in _all_flags(_COMMANDS[name])}
+    args = SimpleNamespace(command=name)
+    for flag, kw in flags.items():
+        switch = kw.get("action") == "store_true"
+        setattr(args, _dest(flag), kw.get("default", False if switch else None))
+    given = set()
+    i = 1
+    while i < len(argv):
+        flag = argv[i]
+        if flag in _HELP:
+            return _help(name)
+        if flag not in flags:
+            raise ValueError(_not_a_flag(name, flag, flags))
+        kw = flags[flag]
+        i += 1
+        given.add(flag)
+        if kw.get("action") == "store_true":
+            setattr(args, _dest(flag), True)
+            continue
+        count = kw.get("nargs", 1)
+        values = argv[i:i + count]
+        if len(values) < count or not all(map(_is_value, values)):
+            raise ValueError(f"{flag} needs {'a value' if count == 1 else f'{count} values'}")
+        i += count
+        if kw.get("type") is int:
+            values = [_int_value(flag, value) for value in values]
+        for value in values:
+            if "choices" in kw and value not in kw["choices"]:
+                raise ValueError(f"{flag} must be one of {', '.join(kw['choices'])}, got {value!r}")
+        setattr(args, _dest(flag), values if "nargs" in kw else values[0])
+    missing = [flag for flag, kw in flags.items() if kw.get("required") and flag not in given]
+    if missing:
+        raise ValueError(f"{name} needs {', '.join(missing)}")
+    return args
+
+
+def _int_value(flag: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{flag} needs an integer, got {text!r}") from None
+
+
+def _not_a_flag(name: str, token: str, flags: dict) -> str:
+    # the error for a token where a flag of command ``name`` should stand
+    if not token.startswith("-"):
+        return f"{name}: unexpected argument {token!r}"
+    head, eq, _ = token.partition("=")
+    if eq and head in flags:
+        if flags[head].get("action") == "store_true":
+            return f"{head} takes no value, got {token!r}"
+        return f"give {head} and its value as two arguments, not {token!r}"
+    near = [flag for flag in flags if len(token) > 2 and flag.startswith(token)]
+    hint = f"; flags are not abbreviated: did you mean {' or '.join(near)}?" if near else ""
+    return f"{name} takes no flag {token!r}{hint}"
 
 
 _IDEAL_FLAGS = ("ideal", "sub", "super")
@@ -577,8 +688,11 @@ _NOT_REQUESTED = frozenset({"command", "json", "latex", "emit_m2", "deg", "windo
 
 
 def run(argv: Sequence[str]) -> str:
-    """Parse argv, compute, build the request, and return the rendered output."""
-    args = _parser().parse_args(argv)
+    """Parse argv, compute, build the request, and return the rendered output
+    (or the help text that ``-h``/``--help`` asks for)."""
+    args = _parse(argv)
+    if isinstance(args, str):
+        return args  # the help text
     cmd = _COMMANDS[args.command]
     if cmd.takes_mn:
         if args.m is None:
@@ -616,7 +730,7 @@ def run(argv: Sequence[str]) -> str:
 def _out_of_memory(argv: Sequence[str]) -> str:
     # the error for a run that exhausted memory; a wide degree window is the
     # usual cause, since a chain can have weights in every degree of it
-    args = _parser().parse_args(argv)
+    args = _parse(argv)
     if not hasattr(args, "window"):
         return f"out of memory computing {args.command}"
     window = _window_from_args(args)

@@ -70,15 +70,18 @@ class IdealSpec(_Frozen):
     n: int
     gens: frozenset[Partition]
 
-    def __init__(self, n: int, gens: frozenset[Partition]) -> None:
+    def __init__(self, n: int, gens: frozenset[Partition], *, _antichain: bool = False) -> None:
+        # normalize passes _antichain=True: it kept exactly the minimal elements of
+        # a set, an antichain, so the test below would only repeat its work
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
         _check_rows(gens, n)
         if EMPTY in gens and len(gens) != 1:
             raise ValueError("the unit ideal must be generated by the empty partition alone")
-        for b, a in _below(gens):
-            if a is not None:
-                raise ValueError(f"generators {a} and {b} are comparable; not an antichain")
+        if not _antichain:
+            for b, a in _below(gens):
+                if a is not None:
+                    raise ValueError(f"generators {a} and {b} are comparable; not an antichain")
         _Frozen.__init__(self, n, gens)
 
     @classmethod
@@ -143,7 +146,7 @@ def normalize(n: int, raw: Iterable[Partition]) -> IdealSpec:
     """Build an IdealSpec from any generator list, keeping minimal elements."""
     pool = set(raw)
     _check_rows(pool, n)
-    return IdealSpec(n, frozenset(g for g, h in _below(pool) if h is None))
+    return IdealSpec(n, frozenset(g for g, h in _below(pool) if h is None), _antichain=True)
 
 
 def member(X: IdealSpec, y: Partition) -> bool:

@@ -7,12 +7,15 @@ of a quotient by membership, a factor's regularity as the sum over its chains,
 the level-l regularity bound by the partition-pair search over ``Partition``
 objects, and the ideal builders as first written: partitions of a box by nested
 generators, minimal elements by testing every pair, saturation through the
-conjugate, and the keyed sort of generators.
+conjugate, and the keyed sort of generators; and the CLI's parser as argparse
+builds it from the command table.
 """
 
+import argparse
 from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
 
+from detthick import cli
 from detthick.ext import ExtComponent, _check_label, index_tuples
 from detthick.ideals import IdealSpec, _check_pdn, member
 from detthick.partitions import Partition, enumerate_partitions
@@ -291,3 +294,15 @@ def symbolic_gens_reference(p: int, d: int, n: int) -> IdealSpec:
         for c0 in range(1, d + 1)
         for tail in enumerate_partitions_reference(n - p, c0, size=d - c0)
     ))
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser of ``cli._COMMANDS``: one subparser per command, its
+    flags added as the table gives them, abbreviations refused."""
+    top = argparse.ArgumentParser(prog="detthick", description=cli._DESCRIPTION, allow_abbrev=False)
+    sub = top.add_subparsers(dest="command", required=True)
+    for name, cmd in cli._COMMANDS.items():
+        sp = sub.add_parser(name, help=cmd.help, allow_abbrev=False)
+        for names, kw in cli._all_flags(cmd):
+            sp.add_argument(*names, **kw)
+    return top

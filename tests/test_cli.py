@@ -1,4 +1,5 @@
-import argparse
+import contextlib
+import io
 import json
 import os
 import re
@@ -13,6 +14,7 @@ from detthick import cli
 from detthick.cli import IdealSpecSyntaxError, main, parse_ideal_spec, run
 from detthick.ideals import power_gens, saturate, symbolic_gens
 from detthick.partitions import Partition
+from oracles import reference_parser
 from test_cli_golden import _RENDERED
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -89,11 +91,10 @@ def _replay_argv(command, request, flags):
 def test_json_request_replays_byte_identical(argv):
     # the request names every flag but the output-only ones and --deg, which
     # it records as the window used; rerunning it gives the same document
-    [sub] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    flags = {a.dest: a.option_strings[0] for a in sub.choices[argv[0]]._actions}
+    flags = {cli._dest(flag): flag for (flag,), _ in cli._all_flags(cli._COMMANDS[argv[0]])}
     first = run(argv + ["--json"])
     request = json.loads(first)["request"]
-    assert set(flags) - {"help", "json", "latex", "emit_m2", "deg"} <= set(request)
+    assert set(flags) - {"json", "latex", "emit_m2", "deg"} <= set(request)
     replay = _replay_argv(argv[0], request, flags)
     assert run(replay + ["--json"]) == first
 
@@ -281,14 +282,114 @@ def test_m_defaults_to_n():
     assert doc["request"]["m"] == 3
 
 
-def test_run_builds_the_parser_once(monkeypatch):
-    built = []
-    build = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
-    cli._parser.cache_clear()
-    first = run(["bblsz-table", "--dmax", "2", "--json"])
-    assert run(["bblsz-table", "--dmax", "2", "--json"]) == first
-    assert len(built) == 1
+def test_help_lists_every_command_and_flag(capsys):
+    top = run(["--help"])
+    assert run(["-h"]) == top
+    for name, cmd in cli._COMMANDS.items():
+        assert f"  {name} " in top and cmd.help in top
+        text = run([name, "--json", "--help"])
+        assert text.startswith(f"usage: detthick {name} ") and cmd.help in text
+        for (flag,), kw in cli._all_flags(cmd):
+            assert f"  {flag}" in text and kw.get("help", "") in text
+    assert main(["reg-powers", "-h"]) == 0
+    out, err = capsys.readouterr()
+    assert "{power,satpower,symbolic}" in out and "(default: power)" in out and err == ""
+
+
+# ---------------------------------------------------------------- the parser against argparse
+
+_REFERENCE = reference_parser()
+_STRINGS = st.sampled_from(["", "-", "-3", "power:2:2", "a=b"]) | st.text("abc019:,;.", max_size=6)
+
+
+def _flag_args(draw, flag, kw):
+    # one occurrence of a flag with values it accepts
+    if kw.get("action") == "store_true":
+        return [flag]
+    if "choices" in kw:
+        return [flag, draw(st.sampled_from(kw["choices"]))]
+    if kw.get("type") is int:
+        return [flag, *(str(draw(st.integers(-30, 30))) for _ in range(kw.get("nargs", 1)))]
+    return [flag, draw(_STRINGS)]
+
+
+@st.composite
+def _command_lines(draw):
+    """A command and its flag groups: each required flag, optional ones on or
+    off, some given twice, in any order."""
+    name = draw(st.sampled_from(list(cli._COMMANDS)))
+    groups = []
+    for (flag,), kw in cli._all_flags(cli._COMMANDS[name]):
+        if kw.get("required") or draw(st.booleans()):
+            groups += [_flag_args(draw, flag, kw) for _ in range(draw(st.sampled_from([1, 1, 2])))]
+    return name, draw(st.permutations(groups))
+
+
+def _argv(name, groups):
+    return [name] + [token for group in groups for token in group]
+
+
+def _reference_parse(argv):
+    with contextlib.redirect_stderr(io.StringIO()):
+        return _REFERENCE.parse_args(argv)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_command_lines())
+def test_parse_equals_argparse(line):
+    argv = _argv(*line)
+    assert vars(cli._parse(argv)) == vars(_reference_parse(argv))
+
+
+def _malformed(data, name, groups):
+    # one way to break a valid command line; argparse refuses each as well
+    flags = {names[0]: kw for names, kw in cli._all_flags(cli._COMMANDS[name])}
+    groups = [list(g) for g in groups]
+    ints = [i for i, g in enumerate(groups) if flags[g[0]].get("type") is int]
+    chosen = [i for i, g in enumerate(groups) if "choices" in flags[g[0]]]
+    required = [f for f, kw in flags.items() if kw.get("required")]
+    valued = [f for f, kw in flags.items() if kw.get("action") != "store_true"]
+    prefixes = [  # (group, a prefix of its flag that names no flag)
+        (i, g[0][:k]) for i, g in enumerate(groups) for k in range(3, len(g[0]))
+        if g[0][:k] not in flags
+    ]
+    ways = ["empty", "command", "missing", "integer", "stray", "switch=", "no value"]
+    ways += ["choice"] * bool(chosen) + ["abbreviation"] * bool(prefixes)
+    way = data.draw(st.sampled_from(ways))
+    at = data.draw(st.integers(0, len(groups)))
+    if way == "empty":
+        return []
+    if way == "command":
+        name = data.draw(st.sampled_from(["bogus", "Zset", "--n", "-3"]))
+    elif way == "missing":
+        gone = data.draw(st.sampled_from(required))
+        groups = [g for g in groups if g[0] != gone]
+    elif way == "integer":
+        g = groups[data.draw(st.sampled_from(ints))]
+        g[data.draw(st.integers(1, len(g) - 1))] = data.draw(st.sampled_from(["x", "1.5", "", "--"]))
+    elif way == "choice":
+        groups[data.draw(st.sampled_from(chosen))][1] = "bogus"
+    elif way == "stray":
+        groups.insert(at, [data.draw(st.sampled_from(["--bogus", "stray", "-x", "-3", "--"]))])
+    elif way == "switch=":
+        groups.insert(at, [data.draw(st.sampled_from(["--json=1", "--latex="]))])
+    elif way == "no value":
+        groups.append([data.draw(st.sampled_from(valued))])
+    else:
+        i, prefix = data.draw(st.sampled_from(prefixes))
+        groups[i][0] = prefix
+    return _argv(name, groups)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_command_lines(), st.data())
+def test_parse_refuses_what_argparse_refuses(line, data):
+    argv = _malformed(data, *line)
+    with pytest.raises(SystemExit) as exc:
+        _reference_parse(argv)
+    assert exc.value.code == 2
+    with pytest.raises(ValueError):
+        cli._parse(argv)
 
 
 # ---------------------------------------------------------------- the JSON writer

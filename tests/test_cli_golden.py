@@ -3,7 +3,8 @@
 ``tests/golden/cli_corpus.json`` records, for every argv in ``CASES``, the
 return code of ``main`` and what it wrote to stdout and stderr, plus the
 Macaulay2 script that ``--emit-m2`` wrote (or null when it wrote none).  It
-also records the flags each subcommand accepts, without their help text.
+also records the flags each subcommand accepts, without their help text, as
+argparse reads the command table (``oracles.reference_parser``).
 Any change to these is a change of behaviour.  When one is intended,
 regenerate the corpus and review its diff:
 
@@ -19,7 +20,8 @@ from pathlib import Path
 
 import pytest
 
-from detthick.cli import build_parser, main
+from detthick.cli import main
+from oracles import reference_parser
 
 CORPUS = Path(__file__).parent / "golden" / "cli_corpus.json"
 M2 = "@M2"  # stands for the path given to --emit-m2
@@ -84,6 +86,16 @@ _ERRORS = [
     ["ext", "--n", "3", "--ideal", "power:2:7", "--cohdeg", "8", "--emit-m2", M2],
     ["reg-powers", "--n", "3", "--p", "1", "--dmax", "2", "--kind", "satpower"],
     ["reg", "--n", "3", "--ideal", "power:2:2", "--json", "--latex"],
+    # usage errors: the command line itself is malformed
+    [],
+    ["bogus", "--n", "3"],
+    ["zset", "--n", "3", "--ideal", "minors:1", "--bogus"],
+    ["zset", "--ideal", "minors:1", "--n"],
+    ["zset", "--n", "x", "--ideal", "minors:1"],
+    ["reg-powers", "--n", "3", "--p", "2", "--dmax", "2", "--kind", "bogus"],
+    ["zset", "--n", "3"],
+    ["zset", "--n", "3", "--ideal", "minors:1", "--json=1"],
+    ["zset", "--n", "3", "--id", "minors:1"],  # flags are not abbreviated
 ]
 
 CASES = [argv + fmt for argv in _RENDERED for fmt in _FORMATS] + _EMIT_M2 + _ERRORS
@@ -106,7 +118,7 @@ def run_case(argv, tmp_path: Path) -> dict:
 
 def parser_flags() -> dict:
     """Each subcommand's flags with everything argparse uses to parse them."""
-    top = build_parser()
+    top = reference_parser()
     [sub] = [a for a in top._actions if isinstance(a, argparse._SubParsersAction)]
     out = {}
     for name, sp in sub.choices.items():
@@ -141,6 +153,16 @@ def test_corpus_covers_the_cases(corpus):
 def test_output_matches_corpus(argv, corpus, tmp_path):
     expected = next(c for c in corpus["cases"] if c["argv"] == argv)
     assert run_case(argv, tmp_path) == expected
+
+
+def test_errors_are_one_line(corpus):
+    # every error ends the run with status 1, nothing on stdout and one error: line
+    cases = [c for c in corpus["cases"] if c["argv"] in _ERRORS]
+    assert len(cases) == len(_ERRORS)
+    for c in cases:
+        lines = c["stderr"].splitlines(keepends=True)
+        assert (c["rc"], c["stdout"], len(lines)) == (1, "", 1), c["argv"]
+        assert lines[0].startswith("error: ") and lines[0].endswith("\n"), c["argv"]
 
 
 def test_parser_flags_match_corpus(corpus):

@@ -131,6 +131,31 @@ def test_normalize_of_one_size_makes_no_comparisons(monkeypatch):
     assert calls == []
 
 
+def test_normalize_tests_its_antichain_once(monkeypatch):
+    # the minimal-element pass alone; re-testing its result as an antichain made
+    # 55,978 calls here
+    calls = []
+
+    def counting_leq(a, b):
+        calls.append(1)
+        return leq(a, b)
+
+    monkeypatch.setattr(ideals, "leq", counting_leq)
+    X = saturate(power_gens(3, 12, 6), 1)
+    assert len(calls) <= 37_076
+    assert X == IdealSpec(6, X.gens)  # which re-tests it in full
+
+
+@given(st.integers(min_value=1, max_value=5), st.data())
+@settings(max_examples=200)
+def test_normalize_result_passes_the_full_check(n, data):
+    raw = data.draw(
+        st.lists(st.one_of(part_in(n, max_part=5), st.just(Partition([]))), max_size=12)
+    )
+    X = normalize(n, raw)
+    assert IdealSpec(n, X.gens) == X
+
+
 @given(st.integers(min_value=1, max_value=4), st.data())
 def test_member_is_upward_closure_of_gens(n, data):
     X = data.draw(ideal_in(n))

@@ -3,9 +3,10 @@
 Every CLI call starts a fresh interpreter, so what ``import detthick,
 detthick.cli`` loads is paid on every call.  One ``python -S`` subprocess
 (``-S`` keeps ``site`` from loading modules of its own) imports both, lists
-which of ``dataclasses``, ``inspect`` and ``json`` got loaded, then renders
-two ``--json`` documents with ``cli.run``; those must equal the golden
-corpus byte for byte.
+which of ``dataclasses``, ``inspect``, ``json``, ``argparse`` and ``gettext``
+got loaded, then renders two ``--json`` documents with ``cli.run``; those must
+equal the golden corpus byte for byte, and loading ``json`` for them must not
+have loaded ``argparse`` or ``gettext``: the CLI parses its flags itself.
 """
 
 import json
@@ -27,14 +28,15 @@ ARGVS = [
 SCRIPT = r"""
 import sys
 import detthick, detthick.cli
-loaded = [m for m in ("dataclasses", "inspect", "json") if m in sys.modules]
+loaded = [m for m in ("dataclasses", "inspect", "json", "argparse", "gettext") if m in sys.modules]
 docs = [detthick.cli.run(argv) for argv in ARGVS]
+after = [m for m in ("argparse", "gettext") if m in sys.modules]
 import json
-print(json.dumps({"loaded": loaded, "docs": docs}))
+print(json.dumps({"loaded": loaded, "after": after, "docs": docs}))
 """
 
 
-def test_import_loads_no_dataclasses_inspect_or_json():
+def test_import_loads_no_dataclasses_inspect_json_or_argparse():
     proc = subprocess.run(
         [sys.executable, "-S", "-c", f"ARGVS = {ARGVS!r}\n{SCRIPT}"],
         capture_output=True,
@@ -44,6 +46,6 @@ def test_import_loads_no_dataclasses_inspect_or_json():
     )
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert got["loaded"] == []
+    assert got["loaded"] == [] and got["after"] == []
     golden = {tuple(c["argv"]): c["stdout"] for c in json.loads(CORPUS.read_text())["cases"]}
     assert got["docs"] == [golden[tuple(argv)] for argv in ARGVS]

@@ -2,15 +2,14 @@
 
 A memo keyed by an ideal, a pair of ideals or an int holds ``_IDEAL_MEMO_SIZE``
 entries; one keyed by a label, a weight region or a regularity level holds
-``_LABEL_MEMO_SIZE``.  The CLI's argument parser is built once by an unbounded
-``functools.cache`` and is not a memo of results, so it is left out.
+``_LABEL_MEMO_SIZE``.
 """
 
 import ast
 import importlib
 from pathlib import Path
 
-from detthick import cli, ideals
+from detthick import ideals
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "detthick"
 POLICY = ("_IDEAL_MEMO_SIZE", "_LABEL_MEMO_SIZE")
@@ -39,7 +38,6 @@ def test_every_memo_has_a_policy_size():
                     (keyword,) = deco.keywords
                     assert keyword.arg == "maxsize" and not deco.args, (path.name, node.name)
                     named[f"{path.stem}.{node.name}"] = getattr(keyword.value, "id", None)
-    assert live.pop("cli._parser") is None and cli._parser.cache_parameters()["maxsize"] is None
     assert len(live) >= 9 and set(live) == set(named)
     assert {name: size for name, size in live.items() if size not in sizes.values()} == {}
     assert {name: size for name, size in named.items() if size not in sizes} == {}
