@@ -184,13 +184,8 @@ def _latex_zset(req, res) -> str:
     return _latex_table(["$z$", "$l$"], rows)
 
 
-def _numeric_items(table: dict) -> list[tuple[str, object]]:
-    # a JSON table's entries in numeric order of their string keys
-    return sorted(table.items(), key=lambda kv: int(kv[0]))
-
-
 def _text_table_block(table: dict) -> list[str]:
-    return [f"  degree {r}: dim {v}" for r, v in _numeric_items(table)]
+    return [f"  degree {r}: dim {v}" for r, v in table.items()]
 
 
 def _text_ext(req, res) -> str:
@@ -244,7 +239,7 @@ def _latex_ext_map(req, res) -> str:
     rows = [
         [name, r, v]
         for name in ("kernel", "image", "cokernel")
-        for r, v in _numeric_items(res[name]["table"])
+        for r, v in res[name]["table"].items()
     ]
     return _latex_table(["part", "deg", "dim"], rows)
 
@@ -266,7 +261,7 @@ def _latex_reg(req, res) -> str:
 def _text_reg_powers(req, res) -> str:
     lines = [f"regularity of {req['kind']} of {req['p']}x{req['p']} minors, n={req['n']}"]
     for row in res["rows"]:
-        per = " ".join(f"R[{l}]={_fmt_reg(v)}" for l, v in _numeric_items(row["per_level"]))
+        per = " ".join(f"R[{l}]={_fmt_reg(v)}" for l, v in row["per_level"].items())
         lines.append(f"  d={row['d']}: reg={_fmt_reg(row['reg'])}  ({per})")
     return "\n".join(lines) + "\n"
 
@@ -283,7 +278,7 @@ def _text_hilbert(req, res) -> str:
 
 
 def _latex_hilbert(req, res) -> str:
-    return _latex_table(["deg", "dim"], [[r, v] for r, v in _numeric_items(res["table"])])
+    return _latex_table(["deg", "dim"], [[r, v] for r, v in res["table"].items()])
 
 
 def _text_kodaira(req, res) -> str:
@@ -744,6 +739,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         out = run(argv)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (RecursionError, OverflowError) as exc:  # the row walk's depth, padding to n entries
+        why = "recursion depth" if isinstance(exc, RecursionError) else "index range"
+        print(f"error: input too large for {argv[0]}: past Python's {why}", file=sys.stderr)
         return 1
     except MemoryError:
         out = None  # reported below, once the traceback and the work it holds are freed

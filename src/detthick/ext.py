@@ -23,13 +23,13 @@ every entry, at -z_(n-i) - m for entry i (0-based), so its table is built
 straight from z.  The weights of every chain's region are walked and priced
 in one recursion, ``schur._priced``, which builds each component as it
 reaches its weight; a region with no free entry, the one weight of an
-l = 0 label in degree -|z| - mn, is priced there with no plan and no walk.
-The components come in (degree, label, s, t, weight) order by grouping on
-degree, since labels, chains and each chain's weights already come in that
-order.  Every record here (components, chains, Ext results and Ext map
-parts) is a named tuple, the cheapest immutable record to build: it equals
-the plain tuple of its fields, and ``_replace`` gives a copy with some
-fields changed.
+l = 0 label in degree -|z| - mn, is priced by ``schur._point_dim`` with no
+plan and no walk.  The components come in (degree, label, s, t, weight)
+order by grouping on degree, since labels, chains and each chain's weights
+already come in that order.  Every record here (components, chains, Ext
+results and Ext map parts) is a named tuple, the cheapest immutable record
+to build: it equals the plain tuple of its fields, and ``_replace`` gives a
+copy with some fields changed.
 """
 
 from __future__ import annotations

@@ -10,11 +10,11 @@ so one recursion (``_priced``) serves both, pricing each weight as its walk reac
 does not depend on the window, a region's plan (``_plan``: its fixed entries' factors and checks
 and each column's per-value factors), is built once per region, s, m and n and serves every later
 walk, and a walk sets each free entry in place on one mutable weight.  One pricer serves a factor
-in one degree and a Hilbert table: an l = 0 factor is S_z C^m (x) S_z C^n, priced by one Weyl
-product, that of z and its expansion at s = n; any other walks its region, built once per ideal
-in its label memo (``_labels_by_size``).  A region with no free entry, such as an l = 0 label's
-one Ext chain, is a single weight: ``_priced`` prices it by the plan's own product, with no plan
-and no walk.
+in one degree and a Hilbert table: an l = 0 factor is S_z C^m (x) S_z C^n, the one weight z at
+s = n; any other walks its region, built once per ideal in its label memo (``_labels_by_size``).
+A region with no free entry, such as an l = 0 label's one Ext chain, is a single weight too; one
+function, ``_point_dim``, prices every single weight by the plan's own product and checks, with
+no plan and no walk.
 """
 
 from __future__ import annotations
@@ -123,6 +123,15 @@ def _fixed_product(fixed_at: tuple, fixed: Sequence[int], s: int, m: int, n: int
     return _superfactorial(m - n) * prod(pairs) ** 2 * prod(block)
 
 
+def _point_dim(lam: Weight, s: int, m: int, n: int) -> int:
+    # dim_m(lam expanded at s) * dim_n(lam) by the plan's product and checks: every single weight
+    num = _fixed_product(lam, range(n), s, m, n)
+    dim, r = divmod(num, _superfactorial(m) * _superfactorial(n))
+    if r:
+        raise RuntimeError(f"Weyl product for {lam} at s={s}, m={m} is not an integer")
+    return dim
+
+
 # saves each region's fixed factors, checks and column memos for every later walk and window
 @lru_cache(maxsize=_LABEL_MEMO_SIZE)
 def _plan(region: _Region, s: int, m: int, n: int) -> tuple:
@@ -176,8 +185,8 @@ def _priced(
     -n, ..., -m+1: the product is V(l)^2 prod_{i<s, n<=q<m} (l_i + q) prod_{i>=s, n<=q<m}
     (-q - l_i) sf(m-n) / (sf(m) sf(n)), V = prod_{i<j} (l_i - l_j), sf(k) = prod_{0<=i<j<k} (j - i).
 
-    A region with no free entry is its one weight: when the window holds it, its expansion and
-    product are computed straight away, with the plan's checks, and no plan is built.  The walk
+    A region with no free entry is its one weight: when the window holds it, it is expanded and
+    priced (``_point_dim``) straight away, with the plan's checks, and no plan is built.  The walk
     branches on the free entries left to right, values ascending, and carries down the partial
     product and the l_i of the free entries chosen.  The plan (``_plan``) holds the fixed
     entries' factors and checks and each free entry's factors per value, over all calls; each
@@ -193,11 +202,8 @@ def _priced(
     if None not in fixed_at:  # nothing is free: the one weight
         total = min_rest[0]
         if lo <= total <= hi:
-            num = _fixed_product(fixed_at, range(len(fixed_at)), s, m, n)
-            dim, r = divmod(num, _superfactorial(m) * _superfactorial(n))
-            if r:
-                raise RuntimeError(f"Weyl product for {fixed_at} at s={s}, m={m} is not an integer")
             big = _expanded(fixed_at, s, m, n) if m > n else fixed_at
+            dim = _point_dim(fixed_at, s, m, n)
             into[total].append(tuple.__new__(cls, fields + (fixed_at, big, total, dim)))
         return
 
@@ -281,16 +287,12 @@ def _add_factor(
 ) -> None:
     # add dim(x, m) * dim(x, n) into table[|x|] for each weight x of the factor labeled (zs, l),
     # zs padded to n entries, with lo <= |x| <= hi: an l = 0 factor (region None) is zs alone,
-    # priced as dim(zs, m) * dim(zs, n) by one product, that of zs and its expansion at s = n
-    # (zs and m - n zeros); any other is the walk of its region, _factor_region(zs, l)
+    # priced by _point_dim at s = n (its expansion is zs and m - n zeros); any other is the walk
+    # of its region, _factor_region(zs, l)
     if region is None:
         size = sum(zs)
         if lo <= size <= hi:
-            num = _fixed_product(zs, range(n), n, m, n)
-            dim, r = divmod(num, _superfactorial(m) * _superfactorial(n))
-            if r:
-                raise RuntimeError(f"Weyl product for {zs} at m={m} is not an integer")
-            table[size] += dim
+            table[size] += _point_dim(zs, n, m, n)
         return
     priced: list = []  # the list of every total
     _priced(region, lo, hi, n, m, n, defaultdict(lambda: priced))

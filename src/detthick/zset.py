@@ -58,12 +58,10 @@ def _chain_tails(z: Partition, l: int, n: int) -> list[tuple[int, ...]]:
     A label has r_k = 0, so t_k = l.  Where r_i = 0, t_(i+1) = t_i, so t is
     a run of equal values between each two rows i < k with r_i > 0.  The
     walk sets the runs from t_1 on, keeping t_i >= l - (r_i + ... + r_k),
-    the least value from which t_k can still reach l; every prefix then
-    completes, so it builds only the t it returns.  Each prefix extends in
-    ascending order, so the list comes out ascending with no sort.
+    the least value from which t_k can still reach l (so l = 0 gives only
+    (0, ..., 0)); every prefix then completes, so it builds only the t it
+    returns.  Prefixes extend in ascending order: the list needs no sort.
     """
-    if not l:  # t_i <= l = 0
-        return [(0,) * n]
     k = n - l
     parts = z + (0,) * (n - len(z))  # parts[i - 1] is z_i
     # walking down from row k: each run above the first as (its length, its

@@ -96,6 +96,13 @@ _ERRORS = [
     ["zset", "--n", "3"],
     ["zset", "--n", "3", "--ideal", "minors:1", "--json=1"],
     ["zset", "--n", "3", "--id", "minors:1"],  # flags are not abbreviated
+    ["zset", "--n", "3", "--ideal", "minors:0"],  # p < 1
+    ["zset", "--n", "3", "--ideal", "minors:1", "foo"],  # a stray positional argument
+    ["zset", "--n=3", "--ideal", "minors:1"],  # a flag and its value joined by "="
+    # sizes past what Python computes at: the label walk recurses once per row, and
+    # padding a partition to n entries needs n to fit a machine index
+    ["zset", "--n", "1200", "--ideal", "minors:1"],
+    ["reg", "--n", "100000000000000000000", "--ideal", "minors:1"],
 ]
 
 CASES = [argv + fmt for argv in _RENDERED for fmt in _FORMATS] + _EMIT_M2 + _ERRORS

@@ -818,3 +818,24 @@ def test_l0_label_is_one_point(args):
     assert dict(walked) == {degree: [want]}
     assert ext._components_for_pairs([(pair, chains)], m, n, (degree + 1, 0)) == ((), ())
     assert reg_j(z, 0, n) == reg_j_by_chains(z, 0, n) == z.size
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda: index_tuples(Partition([1]), 0, 2, 3), "need 1 <= n <= m, got m=2, n=3"),
+        (lambda: index_tuples(Partition([1]), 0, 0, 0), "need 1 <= n <= m, got m=0, n=0"),
+        (lambda: index_tuples(Partition([1, 1, 1, 1]), 0, 3, 3), "has more than 3 parts"),
+        (lambda: index_tuples(Partition([1]), 4, 3, 3), "need 0 <= l <= 3, got l=4"),
+        (lambda: index_tuples(Partition([2, 1]), 2, 3, 3), "need z_1 = ... = z_2"),
+        (lambda: enumerate_weights(Partition([1]), 1, (0,), 0, 3, 3, -10, 0),
+         "chain (0,) should have 2 entries"),
+        (lambda: enumerate_weights(Partition([1]), 0, (0, 0, 0), 0, 3, 3, 0, -1),
+         "empty degree window [0, -1]"),
+    ],
+    ids=["m-below-n", "n-below-1", "parts", "l", "z-not-flat", "chain-length", "window"],
+)
+def test_argument_checks_raise(call, fragment):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert fragment in str(info.value)

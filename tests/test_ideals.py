@@ -387,3 +387,40 @@ def test_entry_points_check_the_shape_first(name, monkeypatch):
         SHAPE_CHECKED[name](X, 2, 3)
     with pytest.raises(ValueError, match="lives in P_3, not P_4"):
         SHAPE_CHECKED[name](X, 4, 4)
+
+
+_N3 = power_gens(2, 2, 3)
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda: IdealSpec(3, frozenset([Partition(), Partition([1])])), "empty partition alone"),
+        (lambda: member(_N3, Partition([1, 1, 1, 1])), "1,1,1,1 has more than 3 parts"),
+        (lambda: intersect(_N3, power_gens(2, 2, 4)), "mismatched n: 3 vs 4"),
+        (lambda: saturate(_N3, -1), "saturation index -1 is negative"),
+        (lambda: power_gens(4, 1, 3), "need 1 <= p <= n, got p=4, n=3"),
+        (lambda: power_gens(2, 0, 3), "need d >= 1, got d=0"),
+        (lambda: symbolic_gens(4, 1, 3), "need 1 <= p <= n, got p=4, n=3"),
+        (lambda: symbolic_gens(2, 0, 3), "need d >= 1, got d=0"),
+        (lambda: succ_gens(Partition([1, 1, 1, 1]), 0, 3), "has more than 3 parts"),
+        (lambda: succ_gens(Partition([1]), 4, 3), "need 0 <= l <= 3, got l=4"),
+        (lambda: radical_index(IdealSpec.zero(3)), "proper nonzero ideal"),
+    ],
+    ids=[
+        "unit-beside-another", "member-parts", "intersect-n", "saturate-negative",
+        "power-p", "power-d", "symbolic-p", "symbolic-d", "succ-parts", "succ-l", "radical-zero",
+    ],
+)
+def test_argument_checks_raise(call, fragment):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert fragment in str(info.value)
+
+
+def test_ideal_str():
+    # generators in (size, parts) order, the empty partition as 0, the zero ideal by name
+    assert str(power_gens(1, 2, 2)) == "{1,1; 2} in P_2"
+    assert str(normalize(3, [Partition([2, 1]), Partition([1, 1, 1])])) == "{1,1,1; 2,1} in P_3"
+    assert str(IdealSpec.unit(2)) == "{0} in P_2"
+    assert str(IdealSpec.zero(3)) == "<zero ideal, n=3>"

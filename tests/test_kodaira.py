@@ -143,3 +143,17 @@ def test_kodaira_walks_no_weights(monkeypatch):
 
     monkeypatch.setattr(ext, "_priced", walk)
     assert kodaira_check(X, 3, 3) == warm
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda: kodaira_check(power_gens(1, 1, 1), 2, 1), "need n >= 2, got n=1"),
+        (lambda: kodaira_check(power_gens(1, 1, 1), 1, 1), "need n >= 2, got n=1"),
+    ],
+    ids=["m-2", "m-1"],
+)
+def test_argument_checks_raise(call, fragment):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert fragment in str(info.value)

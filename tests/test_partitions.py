@@ -214,3 +214,19 @@ def test_enumerate_fixed_size():
     ]
     for p in got:
         assert p.size == 7 and p.nparts <= 3
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        (lambda: Partition([2, 1]).part(0), IndexError, "part index 0 is not >= 1"),
+        (lambda: Partition([2, 1]).truncate(-1), ValueError, "column bound -1 is negative"),
+        (lambda: enumerate_partitions(-1, 2), ValueError, "negative box bound -1x2"),
+        (lambda: enumerate_partitions(2, -1, size=1), ValueError, "negative box bound 2x-1"),
+    ],
+    ids=["part-0", "truncate-negative", "negative-rows", "negative-cols"],
+)
+def test_argument_checks_raise(call, error, fragment):
+    with pytest.raises(error) as info:
+        call()
+    assert fragment in str(info.value)

@@ -374,3 +374,29 @@ def test_kinds_share_each_level_search():
     assert r_bruteforce.cache_info()[:2] == (3, 3)
     assert sat == {1: power[1], 2: power[2]} and sym == {2: power[2]}
     assert power == {l: r_bruteforce_reference(l, p, n, d) for l in range(p)}
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        # closed_form_valid is False on bad arguments, so r_closed refuses them
+        (lambda: r_closed(-1, 2, 3, 2), "not proven for l=-1, p=2, n=3, d=2"),
+        (lambda: r_closed(2, 2, 3, 2), "not proven for l=2, p=2, n=3, d=2"),
+        (lambda: r_closed(0, 4, 3, 2), "not proven for l=0, p=4, n=3, d=2"),
+        (lambda: r_closed(0, 2, 3, 0), "not proven for l=0, p=2, n=3, d=0"),
+        # p < n and d < n - 1: outside the proven range
+        (lambda: r_closed(0, 2, 4, 2), "not proven for l=0, p=2, n=4, d=2"),
+        (lambda: reg_power_details(4, 1, 3, 3, "power"), "need 1 <= p <= n <= m, got p=4"),
+        (lambda: reg_power_details(2, 0, 3, 3, "power"), "need d >= 1, got d=0"),
+    ],
+    ids=["l-negative", "l-at-p", "p-above-n", "d-zero", "unproven", "powers-p", "powers-d"],
+)
+def test_argument_checks_raise(call, fragment):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert fragment in str(info.value)
+
+
+@pytest.mark.parametrize("l, p, n, d", [(-1, 2, 3, 2), (2, 2, 3, 2), (0, 4, 3, 2), (0, 2, 3, 0)])
+def test_closed_form_is_not_valid_on_bad_arguments(l, p, n, d):
+    assert closed_form_valid(l, p, n, d) is False

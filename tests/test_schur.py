@@ -695,3 +695,20 @@ def test_l0_factor_is_the_product_of_two_weyl_dimensions():
                 assert dict(table) == {pair.z.size: schur_dim(zs, m) * schur_dim(zs, n)}
                 seen += 1
     assert seen > 300
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda: schur_dim([1], -1), "k must be >= 0, got -1"),
+        (lambda: j_graded_dim(Partition([1, 1, 1, 1]), 0, 4, 3, 3), "need nparts(z) <= n <= m"),
+        (lambda: j_graded_dim(Partition([1]), 0, 1, 2, 3), "need nparts(z) <= n <= m"),
+        (lambda: j_graded_dim(Partition([1]), 4, 1, 3, 3), "need 0 <= l <= 3, got l=4"),
+        (lambda: j_graded_dim(Partition([1]), -1, 1, 3, 3), "need 0 <= l <= 3, got l=-1"),
+    ],
+    ids=["schur-k", "factor-parts", "factor-m-below-n", "factor-l-high", "factor-l-negative"],
+)
+def test_argument_checks_raise(call, fragment):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert fragment in str(info.value)
