@@ -93,7 +93,7 @@ ext._ext_index.cache_clear()
 out["empty_region"] = raises(ext_graded, power_gens(2, 7, 3), 9, 3, 3)
 ext._region = region
 schur._plan.cache_clear()  # a plan built before the patch would keep the true denominator
-schur._superfactorial = lambda k: 7**k  # 7**6 does not divide the product 4 of (0, 0, 0)
+schur._denominator = lambda m, n: 7  # 7 does not divide the product 4 of (0, 0, 0)
 out["divisibility"] = one_weight((0, 0, 0), 3, 3)
 print(json.dumps(out))
 """

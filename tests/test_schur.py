@@ -306,7 +306,7 @@ def test_pricing_rejects_weights_that_do_not_expand():
 
 @pytest.fixture
 def fresh_plans():
-    """Clear the pricing plans before and after a test that patches ``_superfactorial``: a plan
+    """Clear the pricing plans before and after a test that patches ``_denominator``: a plan
     built before the patch would hide it, and one built under it would outlive it."""
     schur._plan.cache_clear()
     yield
@@ -314,14 +314,15 @@ def fresh_plans():
 
 
 def test_pricing_checks_weyl_divisibility(fresh_plans, monkeypatch):
-    monkeypatch.setattr(schur, "_superfactorial", lambda k: 7**k)
+    # 7 does not divide 4, the product of (0, 0, 0) at m = n = 3
+    monkeypatch.setattr(schur, "_denominator", lambda m, n: 7)
     with pytest.raises(RuntimeError, match="not an integer"):
         price_alone([(0, 0, 0)], 3, 3, 3)
 
 
 def test_empty_windows_do_no_pricing_setup(fresh_plans, monkeypatch):
     # a window or a degree that holds no weight returns before building a plan, which
-    # needs the superfactorials: an Ext window above every chain's weights at a j whose
+    # needs the denominator: an Ext window above every chain's weights at a j whose
     # chains have l >= 1 (power:2:7 over 3 x 3 at j = 6), and a factor with l >= 1 one
     # degree below its least; an l = 0 label's one weight outside the window sets up nothing
     calls = []
@@ -331,13 +332,13 @@ def test_empty_windows_do_no_pricing_setup(fresh_plans, monkeypatch):
         calls.append(args[:3])
         return real(*args)
 
-    def no_setup(k):
+    def no_setup(m, n):
         raise AssertionError("an empty window set up its pricing")
 
     X = power_gens(2, 7, 3)
     ext_graded(X, 6, 3, 3)  # the labels and chains, memoised before the patch
     schur._plan.cache_clear()  # but no plan: one built for the warm-up would hide a lookup
-    monkeypatch.setattr(schur, "_superfactorial", no_setup)
+    monkeypatch.setattr(schur, "_denominator", no_setup)
     monkeypatch.setattr(ext, "_priced", spy)
     monkeypatch.setattr(schur, "_priced", spy)
     res = ext_graded(X, 6, 3, 3, window=(0, 10))
@@ -712,3 +713,32 @@ def test_argument_checks_raise(call, fragment):
     with pytest.raises(ValueError) as info:
         call()
     assert fragment in str(info.value)
+
+
+# Large m: pricing takes one binomial per entry, so none of these grows with m, and each checks
+# the labels (zset), the ideal (ideals) and the pricing (schur) against a formula of its own.
+
+
+@pytest.mark.parametrize("n, m", [(n, m) for n in (2, 3, 4) for m in (n, n + 3, 1000, 100000)])
+def test_segre_hilbert_function_at_large_m(n, m):
+    # the 2 x 2 minors cut out the rank-one matrices, whose coordinate ring is the Segre ring:
+    # its degree-r part is Sym^r C^m (x) Sym^r C^n
+    X = IdealSpec(n, frozenset([Partition([1, 1])]))
+    table = quotient_hilbert_table(X, 0, 6, m, n)
+    assert table == {r: comb(m + r - 1, r) * comb(n + r - 1, r) for r in range(7)}
+
+
+@pytest.mark.parametrize("m", [10, 1000, 100000])
+def test_ext_of_the_residue_field_at_large_m(m):
+    # S / (x_ij) is C, whose one Ext is Ext^{mn}(C, S) = det^-1 (x) det^-1 in degree -mn
+    res = ext_graded(IdealSpec(2, frozenset([Partition([1])])), 2 * m, m, 2)
+    assert [(c.lam, c.degree, c.dim) for c in res.components] == [((-m, -m), -2 * m, 1)]
+
+
+def test_top_ext_components_match_two_weyl_products_at_m_300():
+    # every component of the top Ext of S / I_(3,1) over 300 x 3 matrices, priced against the
+    # Weyl product of its 300-entry expansion
+    res = ext_graded(IdealSpec(3, frozenset([Partition([3, 1])])), 900, 300, 3)
+    assert len(res.components) == 7
+    for c in res.components:
+        assert c.dim == schur_dim(c.lam_expanded, 300) * schur_dim(c.lam, 3)
