@@ -43,7 +43,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .ideals import _IDEAL_MEMO_SIZE, _LABEL_MEMO_SIZE, IdealSpec, _check_shape, subideal
 from .partitions import Partition
-from .schur import GradedTable, Weight, _bounded, _priced, _Region
+from .schur import GradedTable, Weight, _bounded, _expanded, _priced, _Region
 from .zset import ZPair, ZSet, _chain_tails, zset_general
 
 
@@ -56,15 +56,19 @@ class IndexTuple(NamedTuple):
 
 
 class ExtComponent(NamedTuple):
-    """One irreducible summand of an Ext module."""
+    """One irreducible summand of an Ext module: S_mu C^m (x) S_lam C^n, mu = lam_expanded."""
 
     pair: ZPair
     s: int
     t: tuple[int, ...]
     lam: Weight
-    lam_expanded: Weight
+    m: int
     degree: int
     dim: int
+
+    @property
+    def lam_expanded(self) -> Weight:  # mu: lam expanded at s to m entries, built when read
+        return _expanded(self.lam, self.s, self.m, len(self.lam))
 
     def to_json(self) -> dict:
         return {

@@ -62,8 +62,8 @@ class _Frozen:
 class IdealSpec(_Frozen):
     """An invariant ideal: the antichain of its minimal generators in P_n.
 
-    ``gens == frozenset()`` is the zero ideal (flagged, not an error) and
-    ``gens == {empty partition}`` is the unit ideal.
+    ``gens`` is a frozenset, as ideals are memo keys: ``frozenset()`` is the zero ideal
+    (flagged, not an error) and ``frozenset([EMPTY])``, the empty partition, the unit ideal.
     """
 
     __slots__ = ("n", "gens")
@@ -75,6 +75,8 @@ class IdealSpec(_Frozen):
         # a set, an antichain, so the test below would only repeat its work
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
+        if not isinstance(gens, frozenset):
+            raise TypeError(f"generators must be a frozenset, got {type(gens).__name__}")
         _check_rows(gens, n)
         if EMPTY in gens and len(gens) != 1:
             raise ValueError("the unit ideal must be generated by the empty partition alone")

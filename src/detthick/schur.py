@@ -36,9 +36,9 @@ GradedTable = dict[int, int]
 def schur_dim(lam: Sequence[int], k: int) -> int:
     """Dimension of the irreducible GL_k representation of highest weight lam.
 
-    Weyl's product over pairs i < j of (lam_i - lam_j + j - i) / (j - i),
-    computed exactly; partitions shorter than k are padded with zeros,
-    which is only valid when the last given entry is >= 0.
+    Weyl's product over pairs i < j of (lam_i - lam_j + j - i) / (j - i), exactly,
+    skipping the pairs of equal entries (each a factor 1); partitions shorter than k
+    are padded with zeros, which is only valid when the last given entry is >= 0.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
@@ -52,8 +52,9 @@ def schur_dim(lam: Sequence[int], k: int) -> int:
     den = 1
     for i in range(k):
         for j in range(i + 1, k):
-            num *= w[i] - w[j] + j - i
-            den *= j - i
+            if w[i] != w[j]:
+                num *= w[i] - w[j] + j - i
+                den *= j - i
     if num % den:
         raise RuntimeError(f"Weyl product for {lam} over GL_{k} is not an integer")
     return num // den
@@ -95,11 +96,10 @@ def _bounded(
     return _Region(fixed_at, lower, cap_at, tuple(min_rest), tuple(caps_after), width)
 
 
-def _expanded(lam: Sequence, s: int, m: int, n: int) -> tuple:
-    # lam's expansion at s: lam_1..lam_s, m - n entries s - n, then the rest plus m - n; a free
-    # entry (None) stays free
+def _expanded(lam: Sequence[int], s: int, m: int, n: int) -> Weight:
+    # lam's expansion at s: lam_1..lam_s, m - n entries s - n, then the rest plus m - n
     d = m - n
-    return (*lam[:s], *(s - n,) * d, *[x if x is None else x + d for x in lam[s:]])
+    return (*lam[:s], *(s - n,) * d, *[x + d for x in lam[s:]])
 
 
 def _check_expands(lam: Sequence, s: int, m: int, n: int) -> None:
@@ -136,11 +136,10 @@ def _plan(region: _Region, s: int, m: int, n: int) -> tuple:
     """What pricing a region's weights at s needs in any window, built once per key.
 
     The number of free entries (a region has at least one here), the fixed entries' factors,
-    den = D(m, n) (see ``_priced``), the per-value pricer, the expansion skeleton (None where
-    free), and per free entry its position, value -> factor memo, place and shift in the
-    expansion and the total of the fixed entries after it; nothing of one call.  The fixed
-    entries are checked once per plan and a column's value when first met; a failed check
-    raises RuntimeError and is never memoised, so it raises on every later call.
+    den = D(m, n) (see ``_priced``), the per-value pricer, and per free entry its position,
+    value -> factor memo and the total of the fixed entries after it; nothing of one call.
+    The fixed entries are checked once per plan and a column's value when first met; a failed
+    check raises RuntimeError and is never memoised, so it raises on every later call.
     """
     fixed_at = region.fixed_at
     size, d = len(fixed_at), m - n
@@ -159,13 +158,9 @@ def _plan(region: _Region, s: int, m: int, n: int) -> tuple:
         w = memo[v] = prod(fx) ** 2 * comb(v - j + m - 1 if j < s else j - n - v, d)
         return w
 
-    grown = _expanded(fixed_at, s, m, n)
     ends = [*free, size]
-    cols = [
-        (j, {}, j + d if j >= s else j, d if j >= s else 0, sum(fixed_at[j + 1 : b]))
-        for j, b in zip(ends, ends[1:])
-    ]
-    return len(free), num, den, weigh, cols, grown
+    cols = [(j, {}, sum(fixed_at[j + 1 : b])) for j, b in zip(ends, ends[1:])]
+    return len(free), num, den, weigh, cols
 
 
 def _priced(
@@ -174,9 +169,9 @@ def _priced(
 ) -> None:
     """Walk the weights of a region with lo <= total <= hi, pricing each as the walk reaches it.
 
-    Each weight lam goes into into[total] as tuple.__new__(cls, fields + (lam, lam_expanded,
-    total, dim)), ascending within one call, with dim = dim_m(lam_expanded) * dim_n(lam).
-    The expansion of lam at s, its GL_m weight of the same total, keeps lam_1..lam_s, inserts
+    Each weight lam goes into into[total] as tuple.__new__(cls, fields + (lam, m, total, dim)),
+    ascending within one call, with dim = dim_m(lam expanded at s) * dim_n(lam).  The expansion
+    of lam at s (``_expanded``), its GL_m weight of the same total, keeps lam_1..lam_s, inserts
     m - n entries s - n and adds m - n to the rest (lam itself when m = n); it is dominant when
     lam_s >= s - n and lam_{s+1} <= s - m.  With l_i = lam_i - i (0-based), k = m - n, it keeps
     each l_i and inserts -n, ..., -m+1: the product is V(l)^2 sf(k) prod_i B_i / (sf(m) sf(n)), V =
@@ -184,16 +179,15 @@ def _priced(
     or (-q - l_i) = k! C(a_i, k), a_i = l_i + m - 1 or -n - l_i (>= k when dominant).  As sf(m) =
     sf(k) prod_{j<n} (k + j)!, it is V(l)^2 prod_i C(a_i, k) / D(m, n), D = prod_{j<n} j! (k+j)!/k!.
 
-    A region with no free entry is its one weight: when the window holds it, it is expanded and
-    priced (``_point_dim``) straight away, with the plan's checks, and no plan is built.  The walk
+    A region with no free entry is its one weight: when the window holds it, it is priced
+    (``_point_dim``) straight away, with the plan's checks, and no plan is built.  The walk
     branches on the free entries left to right, values ascending, and carries down the partial
     product and the l_i of the free entries chosen.  The plan (``_plan``) holds the fixed
     entries' factors and checks and each free entry's factors per value, over all calls; each
-    call bounds the first column, takes the plan and sets each free entry in place in two lists
-    of its own, the weight and its expansion.  Each node multiplies in its pairs with the free
-    entries already chosen (the parent of the last free entry bounds that entry inline), and
-    each weight its last free entry's pairs, one lookup, one division and one tuple() each for
-    lam and lam_expanded.
+    call bounds the first column, takes the plan and sets each free entry in place in one list
+    of its own, the weight.  Each node multiplies in its pairs with the free entries already
+    chosen (the parent of the last free entry bounds that entry inline), and each weight its
+    last free entry's pairs, one lookup, one division and one tuple().
     Nothing, not even the plan, is set up before the walk knows the window holds a weight.
     RuntimeError is raised when a division is inexact and by the plan's checks.
     """
@@ -201,9 +195,8 @@ def _priced(
     if None not in fixed_at:  # nothing is free: the one weight
         total = min_rest[0]
         if lo <= total <= hi:
-            big = _expanded(fixed_at, s, m, n) if m > n else fixed_at
             dim = _point_dim(fixed_at, s, m, n)
-            into[total].append(tuple.__new__(cls, fields + (fixed_at, big, total, dim)))
+            into[total].append(tuple.__new__(cls, fields + (fixed_at, m, total, dim)))
         return
 
     def span(j: int, prev: int, partial: int) -> tuple[int, int]:
@@ -234,15 +227,14 @@ def _priced(
         a, b = span(first, prev, partial)
     if a > b:
         return
-    k, num, den, weigh, cols, grown = _plan(region, s, m, n)
-    cur, ecur, d = list(fixed_at), list(grown), m - n  # the weight and its expansion, set in place
-    new = tuple.__new__
+    k, num, den, weigh, cols = _plan(region, s, m, n)
+    cur, new = list(fixed_at), tuple.__new__  # the weight, set in place
 
     def rec(i: int, a: int, b: int, partial: int, num: int, ls: tuple) -> None:
         # column i takes each value a..b after the entries set in cur, of this total; they are
         # dominant and at least b, so the pairs of a value v with the free entries before it,
         # c - (v - j) for c in ls (their l_i), are positive
-        j, memo, ej, shift, segsum = cols[i]
+        j, memo, segsum = cols[i]
         partial += segsum
         if i + 1 == k:  # one weight per value
             for v in range(a, b + 1):
@@ -251,11 +243,11 @@ def _priced(
                 for c in ls:
                     g *= c - lv
                 q, r = divmod(num * g * g * w, den)
-                cur[j], ecur[ej], total = v, v + shift, partial + v
+                cur[j], total = v, partial + v
                 lam = tuple(cur)
                 if r:
                     raise RuntimeError(f"Weyl product for {lam} at s={s}, m={m} is not an integer")
-                into[total].append(new(cls, fields + (lam, tuple(ecur) if d else lam, total, q)))
+                into[total].append(new(cls, fields + (lam, m, total, q)))
             return
         nxt, tail = cols[i + 1][0], i + 2 == k
         for v in range(a, b + 1):
@@ -263,7 +255,7 @@ def _priced(
             g, lv = 1, v - j
             for c in ls:
                 g *= c - lv
-            cur[j], ecur[ej], total = v, v + shift, partial + v
+            cur[j], total = v, partial + v
             if tail:  # the span of the last free entry, inline
                 bottom, top = max(least, low - total), min(cur[nxt - 1], high - total, cap)
             else:

@@ -157,7 +157,10 @@ def components_order_reference(
             for lam in enumerate_weights_reference(pair.z, pair.l, tup.t, tup.s, m, n, *window):
                 big = weight_expand(lam, tup.s, m, n)
                 dim = schur_dim(big, m) * schur_dim(lam, n)
-                comps.append(ExtComponent(pair, tup.s, tup.t, lam, big, sum(lam), dim))
+                comp = ExtComponent(pair, tup.s, tup.t, lam, m, sum(lam), dim)
+                if comp.lam_expanded != big:
+                    raise RuntimeError(f"{comp} expands to {comp.lam_expanded}, not {big}")
+                comps.append(comp)
     return tuple(sorted(comps, key=lambda c: (c.degree, c.pair.sort_key(), c.s, c.t, c.lam)))
 
 

@@ -396,7 +396,7 @@ def test_worked_example_full_slice():
 def test_ext_records_are_named_tuples():
     # the field order is the positional constructor's; records are immutable
     # values that compare, hash and pickle by their fields
-    assert ExtComponent._fields == ("pair", "s", "t", "lam", "lam_expanded", "degree", "dim")
+    assert ExtComponent._fields == ("pair", "s", "t", "lam", "m", "degree", "dim")
     assert IndexTuple._fields == ("s", "t", "j")
     first = ext_graded(power_gens(2, 3, 3), 6, 4, 3).components
     again = ext_graded(power_gens(2, 3, 3), 6, 4, 3).components

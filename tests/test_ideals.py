@@ -393,27 +393,33 @@ _N3 = power_gens(2, 2, 3)
 
 
 @pytest.mark.parametrize(
-    "call, fragment",
+    "call, error, fragment",
     [
-        (lambda: IdealSpec(3, frozenset([Partition(), Partition([1])])), "empty partition alone"),
-        (lambda: member(_N3, Partition([1, 1, 1, 1])), "1,1,1,1 has more than 3 parts"),
-        (lambda: intersect(_N3, power_gens(2, 2, 4)), "mismatched n: 3 vs 4"),
-        (lambda: saturate(_N3, -1), "saturation index -1 is negative"),
-        (lambda: power_gens(4, 1, 3), "need 1 <= p <= n, got p=4, n=3"),
-        (lambda: power_gens(2, 0, 3), "need d >= 1, got d=0"),
-        (lambda: symbolic_gens(4, 1, 3), "need 1 <= p <= n, got p=4, n=3"),
-        (lambda: symbolic_gens(2, 0, 3), "need d >= 1, got d=0"),
-        (lambda: succ_gens(Partition([1, 1, 1, 1]), 0, 3), "has more than 3 parts"),
-        (lambda: succ_gens(Partition([1]), 4, 3), "need 0 <= l <= 3, got l=4"),
-        (lambda: radical_index(IdealSpec.zero(3)), "proper nonzero ideal"),
+        (
+            lambda: IdealSpec(3, frozenset([Partition(), Partition([1])])),
+            ValueError,
+            "empty partition alone",
+        ),
+        (lambda: member(_N3, Partition([1, 1, 1, 1])), ValueError, "1,1,1,1 has more than 3 parts"),
+        (lambda: intersect(_N3, power_gens(2, 2, 4)), ValueError, "mismatched n: 3 vs 4"),
+        (lambda: saturate(_N3, -1), ValueError, "saturation index -1 is negative"),
+        (lambda: power_gens(4, 1, 3), ValueError, "need 1 <= p <= n, got p=4, n=3"),
+        (lambda: power_gens(2, 0, 3), ValueError, "need d >= 1, got d=0"),
+        (lambda: symbolic_gens(4, 1, 3), ValueError, "need 1 <= p <= n, got p=4, n=3"),
+        (lambda: symbolic_gens(2, 0, 3), ValueError, "need d >= 1, got d=0"),
+        (lambda: succ_gens(Partition([1, 1, 1, 1]), 0, 3), ValueError, "has more than 3 parts"),
+        (lambda: succ_gens(Partition([1]), 4, 3), ValueError, "need 0 <= l <= 3, got l=4"),
+        (lambda: radical_index(IdealSpec.zero(3)), ValueError, "proper nonzero ideal"),
+        (lambda: IdealSpec(2, {Partition([1, 1])}), TypeError, "must be a frozenset, got set"),
     ],
     ids=[
         "unit-beside-another", "member-parts", "intersect-n", "saturate-negative",
         "power-p", "power-d", "symbolic-p", "symbolic-d", "succ-parts", "succ-l", "radical-zero",
+        "gens-not-frozenset",
     ],
 )
-def test_argument_checks_raise(call, fragment):
-    with pytest.raises(ValueError) as info:
+def test_argument_checks_raise(call, error, fragment):
+    with pytest.raises(error) as info:
         call()
     assert fragment in str(info.value)
 
